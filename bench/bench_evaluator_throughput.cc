@@ -73,23 +73,12 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 double TimeAll(const std::vector<ps3::query::Query>& queries,
-               const ps3::storage::PartitionedTable& table,
+               const ps3::storage::PartitionSource& source,
                const ps3::query::ExecOptions& opts) {
   auto start = Clock::now();
   for (const auto& q : queries) {
-    auto answers = ps3::query::EvaluateAllPartitions(q, table, opts);
+    auto answers = ps3::query::EvaluateAllPartitions(q, source, opts);
     // Keep the optimizer honest.
-    if (answers.empty()) std::abort();
-  }
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-double TimeAllSharded(const std::vector<ps3::query::Query>& queries,
-                      const ps3::storage::ShardedTable& table,
-                      const ps3::query::ExecOptions& opts) {
-  auto start = Clock::now();
-  for (const auto& q : queries) {
-    auto answers = ps3::query::EvaluateAllPartitions(q, table, opts);
     if (answers.empty()) std::abort();
   }
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -102,7 +91,7 @@ double TimeAllSharded(const std::vector<ps3::query::Query>& queries,
 /// Returns wall seconds; fills per-stream elapsed seconds and query
 /// counts.
 double TimeStreamed(const std::vector<ps3::query::Query>& queries,
-                    const ps3::storage::PartitionedTable& table,
+                    const ps3::storage::PartitionSource& source,
                     const ps3::query::ExecOptions& opts, size_t n_streams,
                     std::vector<double>* stream_secs,
                     std::vector<size_t>* stream_queries) {
@@ -121,7 +110,7 @@ double TimeStreamed(const std::vector<ps3::query::Query>& queries,
         // future::get() is an opaque side-effecting call, so the answer
         // cannot be optimized away; an empty answer is legitimate here
         // (always-false predicates), unlike the flat-scan timers above.
-        scheduler.Submit(queries[i], table, opts).get();
+        scheduler.Submit(queries[i], source, opts).get();
         ++count;
       }
       (*stream_secs)[s] =
@@ -154,7 +143,7 @@ struct ClassBenchResult {
 /// window, so the classed row's batch_rows_per_sec prices what the
 /// latency win costs the batch tenants.
 ClassBenchResult TimeClassed(const std::vector<ps3::query::Query>& queries,
-                             const ps3::storage::PartitionedTable& table,
+                             const ps3::storage::PartitionSource& source,
                              const ps3::query::ExecOptions& opts,
                              size_t streams, bool classed, size_t quota,
                              size_t think_us, size_t rows) {
@@ -174,7 +163,7 @@ ClassBenchResult TimeClassed(const std::vector<ps3::query::Query>& queries,
     batch_streams.emplace_back([&, s] {
       size_t i = s;
       while (!stop.load(std::memory_order_relaxed)) {
-        scheduler.Submit(queries[i % queries.size()], table, opts).get();
+        scheduler.Submit(queries[i % queries.size()], source, opts).get();
         batch_done.fetch_add(1, std::memory_order_relaxed);
         ++i;
       }
@@ -191,7 +180,7 @@ ClassBenchResult TimeClassed(const std::vector<ps3::query::Query>& queries,
       std::this_thread::sleep_for(std::chrono::microseconds(think_us));
     }
     const auto q_start = Clock::now();
-    scheduler.Submit(queries[k % queries.size()], table, submit, opts).get();
+    scheduler.Submit(queries[k % queries.size()], source, submit, opts).get();
     lat_ms.push_back(
         std::chrono::duration<double, std::milli>(Clock::now() - q_start)
             .count());
@@ -302,6 +291,7 @@ int main() {
   auto sorted = bundle.table->SortedBy(bundle.default_sort);
   auto laid_out = std::make_shared<storage::Table>(std::move(sorted).value());
   storage::PartitionedTable table(laid_out, partitions);
+  const storage::ResidentShardedSource flat_table(table);
 
   workload::QueryGenerator gen(laid_out.get(), bundle.spec);
   std::vector<query::Query> queries = gen.GenerateSet(n_queries, /*seed=*/41);
@@ -310,26 +300,29 @@ int main() {
   // the scalar reference before any throughput number is worth reporting.
   for (const auto& q : queries) {
     auto scalar = query::EvaluateAllPartitions(
-        q, table, {query::ExecPolicy::kScalar, 1});
+        q, flat_table, {query::ExecPolicy::kScalar, 1});
     query::ExecOptions vopts;
     vopts.policy = query::ExecPolicy::kVectorized;
     vopts.num_threads = 1;
     vopts.simd = runtime::SimdLevel::kNone;
-    ExpectIdentical(scalar, query::EvaluateAllPartitions(q, table, vopts));
+    ExpectIdentical(scalar,
+                    query::EvaluateAllPartitions(q, flat_table, vopts));
     if (avx2) {
       vopts.simd = runtime::SimdLevel::kAvx2;
-      ExpectIdentical(scalar, query::EvaluateAllPartitions(q, table, vopts));
+      ExpectIdentical(scalar,
+                      query::EvaluateAllPartitions(q, flat_table, vopts));
     }
   }
   if (!queries.empty()) {
     // Sharded fan-out gate on the first query across all shard counts.
     query::ExecOptions vopts;
     vopts.num_threads = 4;
-    auto flat = query::EvaluateAllPartitions(queries[0], table, vopts);
+    auto flat = query::EvaluateAllPartitions(queries[0], flat_table, vopts);
     for (size_t shards : shard_counts) {
-      storage::ShardedTable st(table, shards);
-      ExpectIdentical(flat,
-                      query::EvaluateAllPartitions(queries[0], st, vopts));
+      const storage::ShardedTable st(table, shards);
+      ExpectIdentical(flat, query::EvaluateAllPartitions(
+                                queries[0], storage::ResidentShardedSource(st),
+                                vopts));
     }
   }
 
@@ -383,12 +376,13 @@ int main() {
 
     double secs;
     if (cfg.shards > 0) {
-      storage::ShardedTable st(table, cfg.shards);
-      TimeAllSharded(queries, st, opts);  // warm-up (page-in, scratch)
-      secs = TimeAllSharded(queries, st, opts);
+      const storage::ShardedTable st(table, cfg.shards);
+      const storage::ResidentShardedSource sharded(st);
+      TimeAll(queries, sharded, opts);  // warm-up (page-in, scratch)
+      secs = TimeAll(queries, sharded, opts);
     } else {
-      TimeAll(queries, table, opts);  // warm-up (page-in, scratch alloc)
-      secs = TimeAll(queries, table, opts);
+      TimeAll(queries, flat_table, opts);  // warm-up (page-in, scratch)
+      secs = TimeAll(queries, flat_table, opts);
     }
     double rps = total_rows / secs;
 
@@ -440,9 +434,9 @@ int main() {
     opts.simd = runtime::SimdLevel::kAuto;
     std::vector<double> stream_secs;
     std::vector<size_t> stream_queries;
-    TimeStreamed(queries, table, opts, streams, &stream_secs,
+    TimeStreamed(queries, flat_table, opts, streams, &stream_secs,
                  &stream_queries);  // warm-up (page-in, scratch, drivers)
-    const double wall = TimeStreamed(queries, table, opts, streams,
+    const double wall = TimeStreamed(queries, flat_table, opts, streams,
                                      &stream_secs, &stream_queries);
     std::printf(
         "    {\"policy\": \"vectorized\", \"streams\": %zu, \"threads\": "
@@ -477,8 +471,8 @@ int main() {
     for (int mode = 0; mode < 2; ++mode) {
       const bool classed = mode == 1;
       const ClassBenchResult r =
-          TimeClassed(queries, table, clopts, streams, classed, class_quota,
-                      class_think_us, rows);
+          TimeClassed(queries, flat_table, clopts, streams, classed,
+                      class_quota, class_think_us, rows);
       std::printf(
           "    {\"mode\": \"%s\", \"streams\": %zu, \"batch_streams\": %zu, "
           "\"threads\": %zu, \"think_us\": %zu, "
@@ -543,8 +537,9 @@ int main() {
         query::ExecOptions gopts;
         gopts.policy = policy;
         gopts.num_threads = 4;
-        ExpectIdentical(query::EvaluateAllPartitions(queries[0], table, gopts),
-                        query::EvaluateAllPartitions(queries[0], cold, gopts));
+        ExpectIdentical(
+            query::EvaluateAllPartitions(queries[0], flat_table, gopts),
+            query::EvaluateAllPartitions(queries[0], cold, gopts));
       }
     }
 
@@ -562,10 +557,11 @@ int main() {
       opts.simd = runtime::SimdLevel::kAuto;
 
       {  // resident: everything in RAM, same fan-out.
-        storage::ShardedTable st(table, io_shards);
-        TimeAllSharded(io_queries, st, opts);  // warm-up
-        io_rows.push_back(
-            {"resident", t, TimeAllSharded(io_queries, st, opts), 1.0});
+        const storage::ShardedTable st(table, io_shards);
+        const storage::ResidentShardedSource sharded(st);
+        TimeAll(io_queries, sharded, opts);  // warm-up
+        io_rows.push_back({"resident", t, TimeAll(io_queries, sharded, opts),
+                           1.0});
       }
 
       // Cold modes skip the warm-up pass: the cache is dropped before
@@ -701,8 +697,10 @@ int main() {
       for (const auto& q : wide_queries) {
         query::ExecOptions gopts;
         gopts.num_threads = 4;
-        ExpectIdentical(query::EvaluateAllPartitions(q, wpt, gopts),
-                        query::EvaluateAllPartitions(q, cold, gopts));
+        ExpectIdentical(
+            query::EvaluateAllPartitions(
+                q, storage::ResidentShardedSource(wpt), gopts),
+            query::EvaluateAllPartitions(q, cold, gopts));
       }
     }
 
@@ -816,7 +814,7 @@ int main() {
       // with the resident scan before its bytes or seconds mean anything.
       if (!enc_queries.empty()) {
         ExpectIdentical(
-            query::EvaluateAllPartitions(enc_queries[0], table, eopts),
+            query::EvaluateAllPartitions(enc_queries[0], flat_table, eopts),
             query::EvaluateAllPartitions(enc_queries[0], cold, eopts));
       }
       const uint64_t bytes_before = store.store_stats().bytes_loaded;
@@ -898,7 +896,7 @@ int main() {
     std::vector<query::QueryAnswer> pk_exact;
     for (const auto& q : pk_queries) {
       pk_exact.push_back(
-          query::ExactAnswer(q, query::EvaluateAllPartitions(q, table)));
+          query::ExactAnswer(q, query::EvaluateAllPartitions(q, flat_table)));
     }
     const double pk_rows_total =
         static_cast<double>(rows) * static_cast<double>(pk_queries.size());
@@ -1066,7 +1064,7 @@ int main() {
     std::vector<query::QueryAnswer> ft_exact;
     for (const auto& q : ft_queries) {
       ft_exact.push_back(
-          query::ExactAnswer(q, query::EvaluateAllPartitions(q, table)));
+          query::ExactAnswer(q, query::EvaluateAllPartitions(q, flat_table)));
     }
 
     char dir_tmpl[] = "/tmp/ps3_fault_benchXXXXXX";

@@ -13,6 +13,7 @@
 #include "core/ps3_trainer.h"
 #include "query/metrics.h"
 #include "stats/stats_builder.h"
+#include "storage/partition_source.h"
 #include "workload/datasets.h"
 #include "workload/generator.h"
 
@@ -64,7 +65,8 @@ int main() {
       table->schema().FindColumn("DeviceInfo_NetworkType"))};
   std::printf("\nquery: %s\n", q.ToString(table->schema()).c_str());
 
-  auto per_partition = query::EvaluateAllPartitions(q, partitions);
+  auto per_partition = query::EvaluateAllPartitions(
+      q, storage::ResidentShardedSource(partitions));
   auto exact = query::ExactAnswer(q, per_partition);
 
   RandomEngine rng(42);

@@ -8,6 +8,7 @@
 #include "core/ps3_trainer.h"
 #include "query/metrics.h"
 #include "stats/stats_builder.h"
+#include "storage/partition_source.h"
 #include "workload/datasets.h"
 #include "workload/generator.h"
 #include "workload/tpch_queries.h"
@@ -47,7 +48,8 @@ int main() {
     query::Query q = std::move(made).value();
     std::printf("=== TPC-H Q%d analog ===\n%s\n", template_id,
                 q.ToString(table->schema()).c_str());
-    auto answers = query::EvaluateAllPartitions(q, partitions);
+    auto answers = query::EvaluateAllPartitions(
+        q, storage::ResidentShardedSource(partitions));
     auto exact = query::ExactAnswer(q, answers);
 
     std::printf("%8s %12s %14s %14s\n", "budget", "partitions",

@@ -15,6 +15,7 @@
 #include "eval/cost_model.h"
 #include "query/metrics.h"
 #include "stats/stats_builder.h"
+#include "storage/partition_source.h"
 #include "workload/datasets.h"
 #include "workload/generator.h"
 
@@ -84,7 +85,8 @@ int main() {
   RandomEngine rng(99);
   double total_err = 0.0;
   for (const auto& panel : panels) {
-    auto answers = query::EvaluateAllPartitions(panel.query, partitions);
+    auto answers = query::EvaluateAllPartitions(
+        panel.query, storage::ResidentShardedSource(partitions));
     auto exact = query::ExactAnswer(panel.query, answers);
     core::Selection sel = picker.Pick(panel.query, budget, &rng, nullptr);
     auto approx = query::CombineWeighted(panel.query, answers, sel.parts);

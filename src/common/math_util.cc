@@ -81,4 +81,10 @@ bool ApproxEqual(double a, double b, double tol) {
   return std::fabs(a - b) <= tol * scale;
 }
 
+uint64_t LatencyEwmaStep(uint64_t prev, uint64_t sample_us, uint64_t floor) {
+  sample_us = std::max(sample_us, floor);
+  if (prev == 0) return sample_us;
+  return prev - prev / 4 + std::max(sample_us / 4, floor);
+}
+
 }  // namespace ps3

@@ -3,6 +3,7 @@
 #define PS3_COMMON_MATH_UTIL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace ps3 {
@@ -33,6 +34,20 @@ double Clamp(double v, double lo, double hi);
 
 /// True if |a - b| <= tol * max(1, |a|, |b|).
 bool ApproxEqual(double a, double b, double tol = 1e-9);
+
+/// One step of the alpha-1/4 latency EWMA over unsigned microsecond
+/// samples: smooth enough to ignore one stalled load, fast enough to adapt
+/// within a few samples of a workload shift. `prev == 0` means "no sample
+/// yet", so the sample seeds the cell. The update is the underflow-safe
+/// `prev - prev/4 + sample/4`, which stays in range however the sample
+/// compares to the mean (the naive `prev + (sample - prev)/4` wraps
+/// whenever a sample undershoots). `floor` bounds the sample and each
+/// step's increment from below: the default 1 suits a cell that uses 0 as
+/// its "unseeded" sentinel (a sub-microsecond sample clamps to 1 and can
+/// never unseed it); pass 0 for a cell where 0 is a legitimate value,
+/// such as a mean-deviation cell at steady state.
+uint64_t LatencyEwmaStep(uint64_t prev, uint64_t sample_us,
+                         uint64_t floor = 1);
 
 }  // namespace ps3
 

@@ -5,6 +5,7 @@
 
 #include "core/labels.h"
 #include "runtime/query_scheduler.h"
+#include "storage/partition_source.h"
 
 namespace ps3::core {
 
@@ -33,7 +34,8 @@ TrainingData BuildTrainingData(const PickerContext& ctx,
     done.push_back(scheduler.Defer([&data, &ctx, i] {
       const query::Query& q = data.queries[i];
       data.features[i] = ctx.featurizer->BuildFeatures(q);
-      data.answers[i] = query::EvaluateAllPartitions(q, *ctx.table);
+      data.answers[i] = query::EvaluateAllPartitions(
+          q, storage::ResidentShardedSource(*ctx.table));
       data.exact[i] = query::ExactAnswer(q, data.answers[i]);
       data.contributions[i] =
           ComputeContributions(q, data.answers[i], data.exact[i]);

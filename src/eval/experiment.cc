@@ -6,6 +6,7 @@
 #include "core/labels.h"
 #include "core/ps3_trainer.h"
 #include "stats/stats_builder.h"
+#include "storage/partition_source.h"
 
 namespace ps3::eval {
 
@@ -94,7 +95,8 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
 TestQuery Experiment::BuildTest(query::Query q) const {
   TestQuery t;
   t.query = std::move(q);
-  t.answers = query::EvaluateAllPartitions(t.query, *parts_);
+  t.answers = query::EvaluateAllPartitions(
+      t.query, storage::ResidentShardedSource(*parts_));
   t.exact = query::ExactAnswer(t.query, t.answers);
   // True predicate selectivity (for Figure 7): a pure bitmap-popcount scan.
   if (t.query.predicate) {
@@ -152,7 +154,8 @@ std::unique_ptr<core::PartitionPicker> Experiment::MakeOracle(
     std::string key = q.ToString(laid_out_->schema());
     auto it = cache->find(key);
     if (it != cache->end()) return it->second;
-    auto answers = query::EvaluateAllPartitions(q, *parts_);
+    auto answers = query::EvaluateAllPartitions(
+        q, storage::ResidentShardedSource(*parts_));
     auto exact = query::ExactAnswer(q, answers);
     auto contrib = core::ComputeContributions(q, answers, exact);
     cache->emplace(std::move(key), contrib);

@@ -49,14 +49,9 @@ class ColdShardedSource : public storage::PartitionSource {
     return shards_[s];
   }
 
-  Result<storage::PinnedPartition> Acquire(
-      size_t global_index,
-      const storage::ColumnSet& columns) const override {
-    return store_->Fetch(global_index, columns);
-  }
-  /// The control-aware scan path: the token lets a cold load (and its
-  /// single-flight wait) abort with the token's Status instead of riding
-  /// out the simulated IO for a dead query.
+  /// The control's token lets a cold load (and its single-flight wait)
+  /// abort with the token's Status instead of riding out the simulated IO
+  /// for a dead query.
   Result<storage::PinnedPartition> Acquire(
       size_t global_index, const storage::ColumnSet& columns,
       const storage::ScanControl& control) const override {
@@ -64,10 +59,6 @@ class ColdShardedSource : public storage::PartitionSource {
   }
   using storage::PartitionSource::Acquire;
 
-  void WillScanShard(size_t s,
-                     const storage::ColumnSet& columns) const override {
-    StageHint(shards_, s, columns);
-  }
   void WillScanShard(size_t s, const storage::ColumnSet& columns,
                      const storage::ScanControl& control) const override {
     StageHint(shards_, s, columns, control);
@@ -77,15 +68,9 @@ class ColdShardedSource : public storage::PartitionSource {
   /// Stages read-ahead along an explicit shard plan — this source's own
   /// plan for a full scan, or a filtered one handed down by a
   /// storage::PickedSource view, in which case pruned partitions are
-  /// absent from the plan and never staged.
-  void StageHint(const std::vector<std::vector<size_t>>& plan, size_t current,
-                 const storage::ColumnSet& columns) const override {
-    if (prefetch_ != nullptr) {
-      prefetch_->StageAhead(plan, current, columns, QueryClass::kBatch);
-    }
-  }
-  /// Class-aware plan hint: the scan's class decides which share of the
-  /// pipeline's read-ahead budget this staging draws from.
+  /// absent from the plan and never staged. The scan's class decides
+  /// which share of the pipeline's read-ahead budget this staging draws
+  /// from.
   void StageHint(const std::vector<std::vector<size_t>>& plan, size_t current,
                  const storage::ColumnSet& columns,
                  const storage::ScanControl& control) const override {
@@ -93,6 +78,7 @@ class ColdShardedSource : public storage::PartitionSource {
       prefetch_->StageAhead(plan, current, columns, control.query_class);
     }
   }
+  using storage::PartitionSource::StageHint;
 
   /// Encoded on-disk footprint of the given (partition, column) set,
   /// straight from the spill manifest — deterministic regardless of what

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/hash.h"
+#include "common/math_util.h"
 #include "common/serialize.h"
 #include "io/partition_file.h"
 
@@ -376,26 +377,22 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumnsOnce(
 }
 
 void PartitionStore::RecordLoadLatency(uint64_t us) {
-  if (us == 0) us = 1;  // 0 is the "no sample" sentinel
-  // Same alpha-1/4, underflow-safe EWMA form the prefetch pipeline
-  // paces with (`prev - prev/4 + sample/4` stays in range however the
-  // sample compares to the mean — the naive `prev + (sample - prev)/4`
-  // wraps unsigned whenever a sample undershoots); the second cell
-  // tracks mean absolute deviation, so mean + 3*dev approximates a p99
-  // without keeping a histogram.
-  const uint64_t prev = load_lat_ewma_us_.load(std::memory_order_relaxed);
-  const uint64_t mean =
-      prev == 0 ? us : prev - prev / 4 + std::max<uint64_t>(us / 4, 1);
+  // Both cells step the shared EWMA. The mean cell uses 0 as its "no
+  // sample" sentinel, so a sub-microsecond load clamps to 1; the second
+  // cell tracks mean absolute deviation, so mean + 3*dev approximates a
+  // p99 without keeping a histogram.
+  us = std::max<uint64_t>(us, 1);
+  const uint64_t mean = LatencyEwmaStep(
+      load_lat_ewma_us_.load(std::memory_order_relaxed), us);
   load_lat_ewma_us_.store(mean, std::memory_order_relaxed);
   const uint64_t dev_sample = us > mean ? us - mean : mean - us;
-  const uint64_t prev_dev = load_dev_ewma_us_.load(std::memory_order_relaxed);
   // No 1us floor on the dev cell: 0 is a legitimate steady-state ("no
   // spread"), and the first sample may seed it with 0 — fine, because
   // unlike the mean it is never used as a "seeded yet" sentinel.
-  const uint64_t dev = prev_dev == 0
-                           ? dev_sample
-                           : prev_dev - prev_dev / 4 + dev_sample / 4;
-  load_dev_ewma_us_.store(dev, std::memory_order_relaxed);
+  load_dev_ewma_us_.store(
+      LatencyEwmaStep(load_dev_ewma_us_.load(std::memory_order_relaxed),
+                      dev_sample, /*floor=*/0),
+      std::memory_order_relaxed);
 }
 
 size_t PartitionStore::HedgeDelayUs() const {

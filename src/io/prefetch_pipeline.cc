@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/math_util.h"
 #include "runtime/worker_pool.h"
 
 namespace ps3::io {
@@ -37,17 +38,11 @@ void PrefetchPipeline::UpdateEwma(std::atomic<uint64_t>* cell,
   // 0 means "no sample yet" in the cells, so a sub-microsecond sample
   // (back-to-back shard entries on a hot scan) clamps to 1us — exactly
   // the regime where the distance must be able to widen, which a
-  // never-seeded scan EWMA would keep pinned at 1.
-  sample_us = std::max<uint64_t>(sample_us, 1);
-  // alpha = 1/4: smooth enough to ignore one stalled shard, fast enough
-  // to adapt within a few shards of a workload shift. Integer rounding
+  // never-seeded scan EWMA would keep pinned at 1. Integer rounding
   // floors the decayed EWMA a few microseconds above tiny samples —
   // negligible at the millisecond scales being paced.
-  const uint64_t prev = cell->load(std::memory_order_relaxed);
-  const uint64_t next =
-      prev == 0 ? sample_us
-                : prev - prev / 4 + std::max<uint64_t>(sample_us / 4, 1);
-  cell->store(next, std::memory_order_relaxed);
+  cell->store(LatencyEwmaStep(cell->load(std::memory_order_relaxed), sample_us),
+              std::memory_order_relaxed);
 }
 
 size_t PrefetchPipeline::AheadDistance() const {

@@ -141,8 +141,8 @@ class PrefetchPipeline {
 
   /// Current stage-ahead distance from the latency EWMAs.
   size_t AheadDistance() const;
-  /// Folds a sample into an EWMA cell (microseconds, relaxed atomics —
-  /// pacing is advisory, approximate reads are fine).
+  /// Folds a sample into an EWMA cell via LatencyEwmaStep (microseconds,
+  /// relaxed atomics — pacing is advisory, approximate reads are fine).
   static void UpdateEwma(std::atomic<uint64_t>* cell, uint64_t sample_us);
 
   /// Tries to reserve `bytes` of read-ahead budget for `query_class`:

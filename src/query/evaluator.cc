@@ -11,7 +11,6 @@
 #include "query/compiler.h"
 #include "runtime/worker_pool.h"
 #include "storage/partition_source.h"
-#include "storage/sharded_table.h"
 
 namespace ps3::query {
 
@@ -398,50 +397,6 @@ PartitionAnswer EvaluateOnPartition(const Query& query,
       runtime::WorkerPool::Shared().LocalScratch<VectorScratch>();
   s.be.set_simd(runtime::SimdLevel::kAuto);
   return EvaluateVectorized(cq, part, &s);
-}
-
-std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::PartitionedTable& table) {
-  return EvaluateAllPartitions(query, table, ExecOptions{});
-}
-
-std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::PartitionedTable& table,
-    const ExecOptions& opts) {
-  const size_t n_parts = table.num_partitions();
-  std::vector<PartitionAnswer> out(n_parts);
-  runtime::WorkerPool& pool = PoolOf(opts);
-  if (opts.policy == ExecPolicy::kScalar) {
-    pool.ParallelFor(
-        n_parts,
-        [&](size_t i) {
-          out[i] = EvaluateOnPartition(query, table.partition(i));
-        },
-        TaskOf(opts));
-    return out;
-  }
-  // Compile once, execute everywhere; scratch is per pool lane and
-  // persists across queries on the same pool.
-  const CompiledQuery cq = CompileQuery(query);
-  pool.ParallelFor(
-      n_parts,
-      [&](size_t i) {
-        VectorScratch& s = pool.LocalScratch<VectorScratch>();
-        s.be.set_simd(opts.simd);
-        out[i] = EvaluateVectorized(cq, table.partition(i), &s);
-      },
-      TaskOf(opts));
-  return out;
-}
-
-std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::ShardedTable& table,
-    const ExecOptions& opts) {
-  // Resident tables are just the trivial PartitionSource: Acquire never
-  // fails, nothing is pinned, and WillScanShard is a no-op, so this is
-  // the same fan-out it always was.
-  storage::ResidentShardedSource source(table);
-  return EvaluateAllPartitions(query, source, opts);
 }
 
 std::vector<PartitionAnswer> EvaluateAllPartitions(

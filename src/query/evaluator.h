@@ -6,6 +6,11 @@
 // finalizes SUM/COUNT/AVG/MIN/MAX at the end, which makes AVG correct
 // under weighting (weighted sum / weighted count).
 //
+// Whole-table scans have one entry point, EvaluateAllPartitions over a
+// storage::PartitionSource: resident tables, cold stores and picked
+// subsets all run the same fan-out, so an exact answer is just the
+// all-weight-1 combine of the same partials an approximate one reweights.
+//
 // Two execution policies produce bit-identical answers:
 //  - kScalar: the reference row-at-a-time interpreter (predicate AST walk
 //    per row, hash-map probe per row);
@@ -37,7 +42,6 @@ class WorkerPool;
 
 namespace ps3::storage {
 class PartitionSource;
-class ShardedTable;
 }  // namespace ps3::storage
 
 namespace ps3::query {
@@ -148,41 +152,27 @@ PartitionAnswer EvaluateOnPartition(const Query& query,
                                     const storage::Partition& part,
                                     ExecPolicy policy);
 
-/// Evaluates the query exactly on every partition (vectorized, all
-/// hardware threads).
-std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::PartitionedTable& table);
-
-/// Same, with explicit policy / thread count.
-std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::PartitionedTable& table,
-    const ExecOptions& opts);
-
-/// Multi-shard fan-out: evaluates the query over every shard of `table`,
-/// computing per-shard partial answer vectors in parallel and merging them
-/// in shard-index order into a vector indexed by *global* partition id.
-/// Because shards partition the same global partition set, the result is
-/// bit-identical to EvaluateAllPartitions on the flat table for any shard
-/// count or assignment policy.
-std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::ShardedTable& table,
-    const ExecOptions& opts = {});
-
-/// Same fan-out over an abstract PartitionSource — the seam that lets one
-/// scan implementation serve resident tables and the io layer's cold /
-/// cached stores alike. The query's referenced-column set (predicate +
-/// aggregate + GROUP BY columns, via query::ReferencedColumns) is passed
-/// to every Acquire/WillScanShard as the projection hint, so out-of-core
-/// sources read only the column segments this query touches. Each unit
-/// pins its partition just before the kernels run and releases it right
-/// after; the first unit to enter a shard fires WillScanShard(s, cols) so
-/// out-of-core sources can stage upcoming shards ahead of the scan. A
-/// failed Acquire (IO error, checksum mismatch) fails this evaluation
-/// only, surfaced as a thrown std::runtime_error carrying the Status —
-/// or as QueryAborted when opts.cancel fired (the abort is also checked
-/// before every acquire, so a cancelled query stops issuing cold loads).
-/// Answers are bit-identical to the resident scan for any source whose
-/// shard structure matches storage::AssignShards.
+/// The one scan: evaluates the query exactly on every partition of a
+/// PartitionSource — a resident table (storage::ResidentShardedSource, for
+/// a ShardedTable or a flat PartitionedTable served as one shard), the io
+/// layer's cold / cached stores, or a storage::PickedSource view of any of
+/// them. Per-partition work fans out in parallel, flattened across
+/// shards, and the partials merge in shard-index order into a vector
+/// indexed by *global* partition id, so the result is bit-identical for
+/// any shard count, assignment policy, or lane count. The query's
+/// referenced-column set (predicate + aggregate + GROUP BY columns, via
+/// query::ReferencedColumns) is passed to every Acquire/WillScanShard as
+/// the projection hint, so out-of-core sources read only the column
+/// segments this query touches. Each unit pins its partition just before
+/// the kernels run and releases it right after; the first unit to enter a
+/// shard fires WillScanShard(s, cols) so out-of-core sources can stage
+/// upcoming shards ahead of the scan. A failed Acquire (IO error,
+/// checksum mismatch) fails this evaluation only, surfaced as a thrown
+/// std::runtime_error carrying the Status — or as QueryAborted when
+/// opts.cancel fired (the abort is also checked before every acquire, so
+/// a cancelled query stops issuing cold loads). Answers are bit-identical
+/// to the resident scan for any source whose shard structure matches
+/// storage::AssignShards.
 std::vector<PartitionAnswer> EvaluateAllPartitions(
     const Query& query, const storage::PartitionSource& source,
     const ExecOptions& opts = {});

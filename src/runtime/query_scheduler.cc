@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/hash.h"
@@ -36,12 +35,89 @@ Status LostStatus(const std::vector<size_t>& lost) {
   return Status::Unavailable(std::move(msg));
 }
 
-/// Throws the structured failure if the source reports lost partitions.
-/// The exact path's guard: an "exact" answer over a partial table is
-/// never served silently.
-void ThrowIfLost(const storage::PartitionSource& source) {
-  const std::vector<size_t> lost = source.UnreachablePartitions();
-  if (!lost.empty()) throw QueryFailed(LostStatus(lost));
+/// Step 1, picker path: the picker's weighted pick at budget
+/// ceil(fraction * n), re-drawn around the lost set when it overlaps it.
+std::vector<query::WeightedPartition> PickerSelection(
+    const query::Query& q, const core::PartitionPicker& picker,
+    const ApproxOptions& approx, size_t n, const std::vector<size_t>& lost) {
+  const double frac = approx.sampling_fraction;
+  if (!(frac > 0.0) || frac > 1.0) {  // !(> 0) also rejects NaN
+    throw std::invalid_argument(
+        "SubmitApproximate: sampling_fraction must be in (0, 1]");
+  }
+  const size_t budget = std::max<size_t>(
+      1, std::min(n, static_cast<size_t>(
+                         std::ceil(frac * static_cast<double>(n)))));
+  auto is_lost = [&lost](const query::WeightedPartition& wp) {
+    return std::binary_search(lost.begin(), lost.end(), wp.partition);
+  };
+  auto overlaps_lost = [&is_lost](const core::Selection& s) {
+    return std::any_of(s.parts.begin(), s.parts.end(), is_lost);
+  };
+  core::Selection sel;
+  {
+    RandomEngine rng(approx.seed);
+    sel = picker.Pick(q, budget, &rng, nullptr);
+  }
+  if (!lost.empty() && overlaps_lost(sel)) {
+    // Re-pick around the lost set at *unchanged* budget: rounds with
+    // seeds derived from the query seed, so the retry sequence is
+    // deterministic and the first lost-free selection wins.
+    // Deterministic pickers (and unlucky stochastic ones) may never
+    // produce a lost-free pick — then fall back to dropping the lost
+    // choices and rescaling the survivors' weights by picked/surviving,
+    // which for a uniform all-weight pick reduces to the HT weight
+    // n/|reachable ∩ picked|.
+    constexpr int kRepickRounds = 8;
+    bool found = false;
+    for (int round = 1; round <= kRepickRounds && !found; ++round) {
+      RandomEngine rng(approx.seed ^ Mix64(static_cast<uint64_t>(round)));
+      core::Selection cand = picker.Pick(q, budget, &rng, nullptr);
+      if (!overlaps_lost(cand)) {
+        sel = std::move(cand);
+        found = true;
+      }
+    }
+    if (!found) {
+      const size_t picked_count = sel.parts.size();
+      sel.parts.erase(
+          std::remove_if(sel.parts.begin(), sel.parts.end(), is_lost),
+          sel.parts.end());
+      if (sel.parts.empty()) throw QueryFailed(LostStatus(lost));
+      const double rescale = static_cast<double>(picked_count) /
+                             static_cast<double>(sel.parts.size());
+      for (auto& wp : sel.parts) wp.weight *= rescale;
+    }
+  }
+  // Canonical combine order (ascending global partition index) pins the
+  // FP merge order, so the answer's bit pattern is independent of the
+  // order the picker emitted its choices in — and a full uniform
+  // selection reproduces the exact answer bit for bit.
+  query::CanonicalizeSelection(&sel.parts);
+  return std::move(sel.parts);
+}
+
+/// Step 1, picker-free path: every reachable partition at the uniform HT
+/// weight n/|reachable| — exactly 1 when nothing is lost, which makes the
+/// combine bit-identical to the exact all-partition answer with a zero
+/// error surface. Lost partitions fail the query under kFail (an exact
+/// answer over a partial table is never served silently).
+std::vector<query::WeightedPartition> ReachableSelection(
+    size_t n, const std::vector<size_t>& lost, DegradedMode on_lost) {
+  if (!lost.empty() && on_lost == DegradedMode::kFail) {
+    throw QueryFailed(LostStatus(lost));
+  }
+  // Reachable = [0, n) minus the (sorted) lost set.
+  std::vector<size_t> reachable;
+  reachable.reserve(n - std::min(n, lost.size()));
+  auto it = lost.begin();
+  for (size_t p = 0; p < n; ++p) {
+    while (it != lost.end() && *it < p) ++it;
+    if (it != lost.end() && *it == p) continue;
+    reachable.push_back(p);
+  }
+  if (!lost.empty() && reachable.empty()) throw QueryFailed(LostStatus(lost));
+  return query::DegradedSelection(reachable, n);
 }
 
 }  // namespace
@@ -131,41 +207,62 @@ QueryScheduler::Admission QueryScheduler::Admit(const SubmitOptions& submit,
   return a;
 }
 
-// Classless overloads delegate to the multi-tenant ones: a default
-// SubmitOptions is the batch class with no deadline and no token, which
-// admits and executes exactly as the pre-class scheduler did.
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::ShardedTable& table,
+template <typename Answer>
+std::future<Answer> QueryScheduler::Serve(
+    query::Query query, const storage::PartitionSource& source,
+    const Selector& selector, const SubmitOptions& submit,
     query::ExecOptions opts) {
-  return Submit(std::move(query), table, SubmitOptions{}, std::move(opts));
-}
-
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::PartitionedTable& table,
-    query::ExecOptions opts) {
-  return Submit(std::move(query), table, SubmitOptions{}, std::move(opts));
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::PartitionedTable& table,
-                               query::ExecOptions opts) {
-  return SubmitPartials(std::move(query), table, SubmitOptions{},
-                        std::move(opts));
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::ShardedTable& table,
-                               query::ExecOptions opts) {
-  return SubmitPartials(std::move(query), table, SubmitOptions{},
-                        std::move(opts));
+  Admission a = Admit(submit, std::move(opts));
+  return Defer(
+      [q = std::move(query), &source, selector, a = std::move(a)] {
+        a.ThrowIfDead();
+        // 1. Select. Lost partitions are read before anything else, so
+        // an exact query fails fast before any byte moves.
+        const size_t n = source.num_partitions();
+        const std::vector<size_t> lost = source.UnreachablePartitions();
+        const std::vector<query::WeightedPartition> sel =
+            selector.picker != nullptr
+                ? PickerSelection(q, *selector.picker, selector.approx, n,
+                                  lost)
+                : ReachableSelection(n, lost, selector.on_lost);
+        // 2. Scan the selection: the view only ever acquires selected
+        // partitions, and its prefetch hints follow the selected plan.
+        std::vector<size_t> picked;
+        picked.reserve(sel.size());
+        for (const auto& wp : sel) picked.push_back(wp.partition);
+        const storage::PickedSource view(source, picked);
+        const std::vector<query::PartitionAnswer> partials =
+            query::EvaluateAllPartitions(q, view, a.opts);
+        // 3. Combine.
+        if constexpr (std::is_same_v<Answer, query::QueryAnswer>) {
+          return query::CombineWeighted(q, partials, sel);
+        } else {
+          query::ApproxCombined combined =
+              query::CombineWeightedWithError(q, partials, sel);
+          ApproxAnswer out;
+          out.value = std::move(combined.value);
+          out.error_estimate = std::move(combined.error);
+          out.partitions_scanned = picked.size();
+          out.partitions_total = n;
+          out.bytes_moved = source.ColdScanBytes(
+              picked, query::ReferencedColumns(query::CompileQuery(q)));
+          return out;
+        }
+      },
+      submit.query_class);
 }
 
 std::future<query::QueryAnswer> QueryScheduler::Submit(
     query::Query query, const storage::PartitionSource& source,
     query::ExecOptions opts) {
   return Submit(std::move(query), source, SubmitOptions{}, std::move(opts));
+}
+
+std::future<query::QueryAnswer> QueryScheduler::Submit(
+    query::Query query, const storage::PartitionSource& source,
+    SubmitOptions submit, query::ExecOptions opts) {
+  return Serve<query::QueryAnswer>(std::move(query), source, Selector{},
+                                   submit, std::move(opts));
 }
 
 std::future<ApproxAnswer> QueryScheduler::SubmitApproximate(
@@ -176,243 +273,21 @@ std::future<ApproxAnswer> QueryScheduler::SubmitApproximate(
                            SubmitOptions{}, std::move(opts));
 }
 
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::PartitionSource& source,
-                               query::ExecOptions opts) {
-  return SubmitPartials(std::move(query), source, SubmitOptions{},
-                        std::move(opts));
-}
-
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::ShardedTable& table,
-    SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &table, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::ExactAnswer(
-            q, query::EvaluateAllPartitions(q, table, a.opts));
-      },
-      submit.query_class);
-}
-
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::PartitionedTable& table,
-    SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &table, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::ExactAnswer(
-            q, query::EvaluateAllPartitions(q, table, a.opts));
-      },
-      submit.query_class);
-}
-
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::PartitionSource& source,
-    SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &source, a = std::move(a)] {
-        a.ThrowIfDead();
-        // An exact future cannot carry a degraded answer: lost
-        // partitions fail fast with the structured Status *before* any
-        // byte moves, naming the set to re-plan around.
-        ThrowIfLost(source);
-        return query::ExactAnswer(
-            q, query::EvaluateAllPartitions(q, source, a.opts));
-      },
-      submit.query_class);
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::PartitionedTable& table,
-                               SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &table, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::EvaluateAllPartitions(q, table, a.opts);
-      },
-      submit.query_class);
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::ShardedTable& table,
-                               SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &table, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::EvaluateAllPartitions(q, table, a.opts);
-      },
-      submit.query_class);
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::PartitionSource& source,
-                               SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &source, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::EvaluateAllPartitions(q, source, a.opts);
-      },
-      submit.query_class);
-}
-
 std::future<ApproxAnswer> QueryScheduler::SubmitApproximate(
     query::Query query, const storage::PartitionSource& source,
     const core::PartitionPicker& picker, ApproxOptions approx,
     SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &source, &picker, approx, a = std::move(a)] {
-        a.ThrowIfDead();
-        const query::ExecOptions& opts = a.opts;
-        const double frac = approx.sampling_fraction;
-        if (!(frac > 0.0) || frac > 1.0) {  // !(> 0) also rejects NaN
-          throw std::invalid_argument(
-              "SubmitApproximate: sampling_fraction must be in (0, 1]");
-        }
-        const size_t n = source.num_partitions();
-        size_t budget =
-            static_cast<size_t>(std::ceil(frac * static_cast<double>(n)));
-        budget = std::max<size_t>(1, std::min(budget, n));
-        const std::vector<size_t> lost = source.UnreachablePartitions();
-        auto overlaps_lost = [&lost](const core::Selection& s) {
-          for (const auto& wp : s.parts) {
-            if (std::binary_search(lost.begin(), lost.end(), wp.partition)) {
-              return true;
-            }
-          }
-          return false;
-        };
-        core::Selection sel;
-        {
-          RandomEngine rng(approx.seed);
-          sel = picker.Pick(q, budget, &rng, nullptr);
-        }
-        if (!lost.empty() && overlaps_lost(sel)) {
-          // Re-pick around the lost set at *unchanged* budget: rounds
-          // with seeds derived from the query seed, so the retry
-          // sequence is deterministic and the first lost-free selection
-          // wins. Deterministic pickers (and unlucky stochastic ones)
-          // may never produce a lost-free pick — then fall back to
-          // dropping the lost choices and rescaling the survivors'
-          // weights by picked/surviving, which for a uniform all-weight
-          // pick reduces to the HT weight n/|reachable ∩ picked|.
-          constexpr int kRepickRounds = 8;
-          bool found = false;
-          for (int round = 1; round <= kRepickRounds && !found; ++round) {
-            RandomEngine rng(approx.seed ^
-                             Mix64(static_cast<uint64_t>(round)));
-            core::Selection cand = picker.Pick(q, budget, &rng, nullptr);
-            if (!overlaps_lost(cand)) {
-              sel = std::move(cand);
-              found = true;
-            }
-          }
-          if (!found) {
-            const size_t picked_count = sel.parts.size();
-            core::Selection surviving;
-            for (const auto& wp : sel.parts) {
-              if (!std::binary_search(lost.begin(), lost.end(),
-                                      wp.partition)) {
-                surviving.parts.push_back(wp);
-              }
-            }
-            if (surviving.parts.empty()) throw QueryFailed(LostStatus(lost));
-            const double rescale =
-                static_cast<double>(picked_count) /
-                static_cast<double>(surviving.parts.size());
-            for (auto& wp : surviving.parts) wp.weight *= rescale;
-            sel = std::move(surviving);
-          }
-        }
-        // Canonical combine order (ascending global partition index) pins
-        // the FP merge order, so the answer's bit pattern is independent
-        // of the order the picker emitted its choices in — and a full
-        // uniform selection reproduces the exact answer bit for bit.
-        query::CanonicalizeSelection(&sel.parts);
-        std::vector<size_t> picked;
-        picked.reserve(sel.parts.size());
-        for (const auto& wp : sel.parts) picked.push_back(wp.partition);
-
-        const storage::PickedSource view(source, picked);
-        std::vector<query::PartitionAnswer> partials =
-            query::EvaluateAllPartitions(q, view, opts);
-        query::ApproxCombined combined =
-            query::CombineWeightedWithError(q, partials, sel.parts);
-
-        ApproxAnswer out;
-        out.value = std::move(combined.value);
-        out.error_estimate = std::move(combined.error);
-        out.partitions_scanned = picked.size();
-        out.partitions_total = n;
-        out.bytes_moved = source.ColdScanBytes(
-            picked, query::ReferencedColumns(query::CompileQuery(q)));
-        return out;
-      },
-      submit.query_class);
+  return Serve<ApproxAnswer>(std::move(query), source,
+                             Selector{&picker, approx, DegradedMode::kFail},
+                             submit, std::move(opts));
 }
 
 std::future<ApproxAnswer> QueryScheduler::SubmitDegradable(
     query::Query query, const storage::PartitionSource& source,
     SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  const DegradedMode mode = submit.degraded_mode;
-  return Defer(
-      [q = std::move(query), &source, mode, a = std::move(a)] {
-        a.ThrowIfDead();
-        const size_t n = source.num_partitions();
-        const std::vector<size_t> lost = source.UnreachablePartitions();
-        std::vector<size_t> reachable;
-        if (lost.empty()) {
-          reachable.resize(n);
-          std::iota(reachable.begin(), reachable.end(), size_t{0});
-        } else {
-          if (mode == DegradedMode::kFail) throw QueryFailed(LostStatus(lost));
-          // Reachable = [0, n) minus the (sorted) lost set.
-          reachable.reserve(n - std::min(n, lost.size()));
-          auto it = lost.begin();
-          for (size_t p = 0; p < n; ++p) {
-            while (it != lost.end() && *it < p) ++it;
-            if (it != lost.end() && *it == p) continue;
-            reachable.push_back(p);
-          }
-          if (reachable.empty()) throw QueryFailed(LostStatus(lost));
-        }
-        // The degraded plan is the approximate path with the reachable
-        // set as the "picked" partitions: the PickedSource view never
-        // acquires a lost partition (so no load ever fails on one), and
-        // the uniform HT weight n/|reachable| keeps the estimator
-        // honest. With nothing lost the weights are exactly 1, the view
-        // covers every partition, and the combine is bit-identical to
-        // the exact path's ExactAnswer with a zero error surface.
-        const std::vector<query::WeightedPartition> sel =
-            query::DegradedSelection(reachable, n);
-        const storage::PickedSource view(source, reachable);
-        std::vector<query::PartitionAnswer> partials =
-            query::EvaluateAllPartitions(q, view, a.opts);
-        query::ApproxCombined combined =
-            query::CombineWeightedWithError(q, partials, sel);
-
-        ApproxAnswer out;
-        out.value = std::move(combined.value);
-        out.error_estimate = std::move(combined.error);
-        out.partitions_scanned = reachable.size();
-        out.partitions_total = n;
-        out.bytes_moved = source.ColdScanBytes(
-            reachable, query::ReferencedColumns(query::CompileQuery(q)));
-        return out;
-      },
-      submit.query_class);
+  return Serve<ApproxAnswer>(std::move(query), source,
+                             Selector{nullptr, {}, submit.degraded_mode},
+                             submit, std::move(opts));
 }
 
 }  // namespace ps3::runtime

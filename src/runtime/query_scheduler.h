@@ -1,8 +1,8 @@
 // Concurrent multi-query submission onto the shared resident WorkerPool.
 //
 // QueryScheduler is the admission layer for the paper's query-stream
-// setting: many exact aggregate queries arrive at once, and instead of
-// serializing whole-query scans, each Submit() becomes a task on a small
+// setting: many aggregate queries arrive at once, and instead of
+// serializing whole-query scans, each submission becomes a task on a small
 // set of resident driver threads. A driver executes the query's partition
 // fan-out as its own WorkerPool job, so the chunks of several in-flight
 // queries interleave on the shared lanes (round-robin, capped per query by
@@ -10,7 +10,19 @@
 // work onto shared execution resources rather than from one query owning
 // every lane.
 //
-// Admission is multi-tenant: every Submit* has an overload taking
+// One serving plan: the paper answers every query by reading a set of
+// partitions and combining their partial answers with weights, and so
+// does every entry point here. A submission (1) chooses a weighted
+// selection — every partition at weight 1 (Submit), the picker's pick
+// (SubmitApproximate), or the reachable set at weight total/|reachable|
+// (SubmitDegradable) — (2) scans exactly that selection through a
+// storage::PickedSource view of the source, and (3) combines the
+// partials: CombineWeighted for an exact answer, CombineWeightedWithError
+// plus the planned byte footprint for an ApproxAnswer. Every table form
+// enters as a storage::PartitionSource (resident tables through
+// storage::ResidentShardedSource).
+//
+// Admission is multi-tenant: every entry point has an overload taking
 // SubmitOptions{query_class, deadline, cancel}. Interactive-class queries
 // jump the driver queue ahead of batch work and preempt batch jobs at
 // chunk granularity on the pool (weighted — batch still progresses); a
@@ -18,21 +30,22 @@
 // cancelled or expired query resolves its future with QueryAborted
 // carrying Status::Cancelled / Status::DeadlineExceeded — its cache pins
 // are released, its cold loads unwound, and co-resident queries are
-// untouched. Classless call sites default to batch and behave exactly as
-// before.
+// untouched. A default SubmitOptions is the batch class with no deadline.
 //
 // Determinism contract: each query's per-partition reduction is ordered
-// (index-addressed slots, ascending row order within a partition), so the
-// answer a future resolves to is bit-identical to running the same query
-// serially — for any driver count, lane count, steal schedule, query
-// class mix, or set of concurrently admitted queries (class and deadline
-// affect when chunks run, never merge order or results). Failure is per
-// query: a task that throws fails only its own future; sibling queries
-// and the resident lanes are unaffected.
+// (index-addressed slots, ascending row order within a partition, combine
+// in ascending partition order), so the answer a future resolves to is
+// bit-identical to running the same query serially — for any driver
+// count, lane count, steal schedule, query class mix, or set of
+// concurrently admitted queries (class and deadline affect when chunks
+// run, never merge order or results). Failure is per query: a task that
+// throws fails only its own future; sibling queries and the resident
+// lanes are unaffected.
 //
-// Tables are borrowed, not owned: a table passed to Submit must stay alive
-// until the returned future is ready (or the scheduler is destroyed,
-// which drains all admitted work).
+// Sources are borrowed, not owned: a source passed to a submission — and
+// whatever it borrows (table, store, prefetch pipeline, picker) — must
+// stay alive until the returned future is ready (or the scheduler is
+// destroyed, which drains all admitted work).
 #ifndef PS3_RUNTIME_QUERY_SCHEDULER_H_
 #define PS3_RUNTIME_QUERY_SCHEDULER_H_
 
@@ -53,7 +66,6 @@
 #include "query/evaluator.h"
 #include "runtime/worker_pool.h"
 #include "storage/partition_source.h"
-#include "storage/sharded_table.h"
 
 namespace ps3::core {
 class PartitionPicker;
@@ -107,11 +119,11 @@ enum class DegradedMode : uint8_t {
   kApproximate = 1,
 };
 
-/// Per-query admission options for the multi-tenant Submit* overloads.
+/// Per-query admission options for the multi-tenant submit entry points.
 struct SubmitOptions {
   /// kInteractive jumps the driver queue ahead of batch tasks and wins
-  /// the weighted chunk-granularity picks on the pool; kBatch (default)
-  /// matches the classless overloads exactly.
+  /// the weighted chunk-granularity picks on the pool; kBatch is the
+  /// default.
   QueryClass query_class = QueryClass::kBatch;
   /// Relative deadline, armed at *admission* so queue wait counts
   /// against it. 0 (default) = none; <= 0 is already expired (the query
@@ -160,76 +172,40 @@ class QueryScheduler {
   /// Tasks admitted but not yet finished (queued + executing).
   size_t pending() const;
 
-  /// Admits an exact aggregate query over a sharded table. The future
-  /// resolves to the finalized answer (every partition, weight 1),
-  /// bit-identical to serial evaluation; it rethrows if evaluation threw.
-  /// `opts.pool` is overridden with the scheduler's pool;
-  /// `opts.num_threads` caps this query's lane share while other queries
-  /// are in flight.
-  std::future<query::QueryAnswer> Submit(query::Query query,
-                                         const storage::ShardedTable& table,
-                                         query::ExecOptions opts = {});
-  /// Same, over a flat partitioned table.
-  std::future<query::QueryAnswer> Submit(
-      query::Query query, const storage::PartitionedTable& table,
-      query::ExecOptions opts = {});
-  /// Same, over an abstract PartitionSource (resident adapter or the io
-  /// layer's cold/cached stores). The source — and whatever it borrows
-  /// (store, prefetch pipeline) — must stay alive until the future is
-  /// ready. A cold-load failure (IO error, checksum mismatch) poisons
-  /// only this query's future.
+  /// Admits an exact aggregate query. The future resolves to the
+  /// finalized answer (every partition, weight 1), bit-identical to
+  /// serial evaluation; it rethrows if evaluation threw. `opts.pool` is
+  /// overridden with the scheduler's pool; `opts.num_threads` caps this
+  /// query's lane share while other queries are in flight. A cold-load
+  /// failure (IO error, checksum mismatch) poisons only this query's
+  /// future. Lost partitions (PartitionSource::UnreachablePartitions)
+  /// fail it fast with QueryFailed carrying Status::Unavailable naming
+  /// them, before any byte moves, whatever submit.degraded_mode says: the
+  /// future cannot carry a degraded answer.
   std::future<query::QueryAnswer> Submit(query::Query query,
                                          const storage::PartitionSource& source,
+                                         query::ExecOptions opts = {});
+  std::future<query::QueryAnswer> Submit(query::Query query,
+                                         const storage::PartitionSource& source,
+                                         SubmitOptions submit,
                                          query::ExecOptions opts = {});
 
   /// Admits an *approximate* aggregate query: `picker` chooses a weighted
   /// partition subset (budget = ceil(sampling_fraction * partitions)),
-  /// and the scan runs over a storage::PickedSource view of `source`, so
-  /// only picked partitions are ever acquired and prefetch read-ahead
+  /// and only picked partitions are ever acquired; prefetch read-ahead
   /// follows the picked shard plan. The future resolves to the
   /// Horvitz–Thompson reweighted answer with per-group error estimates
   /// and the scan's planned byte footprint. The picker runs on the driver
   /// thread against per-partition statistics only (it never touches
-  /// partition data); `picker`, `source`, and whatever they borrow must
-  /// stay alive until the future is ready. If the source reports lost
-  /// partitions and the pick overlaps them, the pick is deterministically
-  /// re-drawn around the lost set at unchanged budget (derived seeds,
-  /// first lost-free selection wins; pickers that can never avoid the
-  /// set fall back to dropping lost choices and rescaling the survivors'
-  /// weights).
+  /// partition data). If the source reports lost partitions and the pick
+  /// overlaps them, the pick is deterministically re-drawn around the
+  /// lost set at unchanged budget (derived seeds, first lost-free
+  /// selection wins; pickers that can never avoid the set fall back to
+  /// dropping lost choices and rescaling the survivors' weights).
   std::future<ApproxAnswer> SubmitApproximate(
       query::Query query, const storage::PartitionSource& source,
       const core::PartitionPicker& picker, ApproxOptions approx,
       query::ExecOptions opts = {});
-
-  /// Admits a query but resolves to the raw per-partition answers (global
-  /// partition order) — the form the trainer and pickers consume.
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::PartitionedTable& table,
-      query::ExecOptions opts = {});
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::ShardedTable& table,
-      query::ExecOptions opts = {});
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::PartitionSource& source,
-      query::ExecOptions opts = {});
-
-  /// Multi-tenant admission: same contracts as the overloads above, plus
-  /// SubmitOptions semantics — class-priority queueing and lane picks, a
-  /// deadline armed at admission, cooperative cancellation. An aborted
-  /// query's future rethrows QueryAborted; survivors stay bit-identical
-  /// to serial evaluation.
-  std::future<query::QueryAnswer> Submit(query::Query query,
-                                         const storage::ShardedTable& table,
-                                         SubmitOptions submit,
-                                         query::ExecOptions opts = {});
-  std::future<query::QueryAnswer> Submit(
-      query::Query query, const storage::PartitionedTable& table,
-      SubmitOptions submit, query::ExecOptions opts = {});
-  std::future<query::QueryAnswer> Submit(query::Query query,
-                                         const storage::PartitionSource& source,
-                                         SubmitOptions submit,
-                                         query::ExecOptions opts = {});
   std::future<ApproxAnswer> SubmitApproximate(
       query::Query query, const storage::PartitionSource& source,
       const core::PartitionPicker& picker, ApproxOptions approx,
@@ -241,26 +217,15 @@ class QueryScheduler {
   /// combine) with a zero error surface and partitions_scanned == total.
   /// With lost partitions, the behavior follows submit.degraded_mode:
   /// kFail rethrows QueryFailed carrying Status::Unavailable naming the
-  /// lost partitions; kApproximate scans the reachable complement
-  /// through a storage::PickedSource (lost partitions are never
-  /// acquired), HT-reweights at total/|reachable|, and reports the error
-  /// surface of the effective sampling fraction plus the bytes the
-  /// reachable scan plans to move. Deterministic: the same lost set
-  /// yields a bit-identical ApproxAnswer for any shard count, policy,
-  /// thread count, or concurrent load.
+  /// lost partitions; kApproximate scans the reachable complement (lost
+  /// partitions are never acquired), HT-reweights at total/|reachable|,
+  /// and reports the error surface of the effective sampling fraction
+  /// plus the bytes the reachable scan plans to move. Deterministic: the
+  /// same lost set yields a bit-identical ApproxAnswer for any shard
+  /// count, policy, thread count, or concurrent load.
   std::future<ApproxAnswer> SubmitDegradable(
       query::Query query, const storage::PartitionSource& source,
       SubmitOptions submit = {}, query::ExecOptions opts = {});
-
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::PartitionedTable& table,
-      SubmitOptions submit, query::ExecOptions opts = {});
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::ShardedTable& table,
-      SubmitOptions submit, query::ExecOptions opts = {});
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::PartitionSource& source,
-      SubmitOptions submit, query::ExecOptions opts = {});
 
   /// Generic admission: runs `fn` on a driver thread and resolves the
   /// future with its result (or exception). Parallel passes inside `fn`
@@ -279,7 +244,7 @@ class QueryScheduler {
   }
 
  private:
-  /// The evaluation options + token a Submit overload hands its deferred
+  /// The evaluation options + token a submission hands its deferred
   /// task: pool pinned, class stamped, deadline armed (at admission).
   /// The token rides in the task's capture so an externally held
   /// CancelToken stays alive until the future resolves.
@@ -292,6 +257,28 @@ class QueryScheduler {
     void ThrowIfDead() const { ThrowIfAborted(token.get()); }
   };
   Admission Admit(const SubmitOptions& submit, query::ExecOptions opts) const;
+
+  /// Step 1 of the plan: how a submission chooses its weighted selection.
+  /// No picker = every reachable partition at the uniform weight
+  /// total/|reachable| (exactly 1 with nothing lost); lost partitions are
+  /// then served only under kApproximate, and fail the query otherwise.
+  struct Selector {
+    const core::PartitionPicker* picker = nullptr;
+    ApproxOptions approx;
+    DegradedMode on_lost = DegradedMode::kFail;
+  };
+
+  /// The one serving plan every entry point wraps: admit, then on a
+  /// driver select → scan the selection through a storage::PickedSource
+  /// → combine. `Answer` picks the finish: query::QueryAnswer combines
+  /// with CombineWeighted alone (the exact path pays for no error
+  /// surface); ApproxAnswer adds the error surface and planned bytes.
+  template <typename Answer>
+  std::future<Answer> Serve(query::Query query,
+                            const storage::PartitionSource& source,
+                            const Selector& selector,
+                            const SubmitOptions& submit,
+                            query::ExecOptions opts);
 
   void Enqueue(std::function<void()> task,
                QueryClass query_class = QueryClass::kBatch);

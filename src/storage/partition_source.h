@@ -79,71 +79,67 @@ class PartitionSource {
   /// Thread-safe: the fan-out calls this from concurrent pool lanes.
   /// `columns` is the projection contract: the caller promises to touch
   /// only those columns, and the source may leave the rest empty.
+  /// `control` carries the scan's class and cancel token, so cold sources
+  /// can abort a pending load (returning the token's Status with every
+  /// pin already taken released) instead of completing IO for a dead
+  /// query; sources that never block ignore it.
   virtual Result<PinnedPartition> Acquire(size_t global_index,
-                                          const ColumnSet& columns) const = 0;
+                                          const ColumnSet& columns,
+                                          const ScanControl& control) const = 0;
+
+  /// Acquire with a default control: batch class, no cancel token.
+  virtual Result<PinnedPartition> Acquire(size_t global_index,
+                                          const ColumnSet& columns) const {
+    return Acquire(global_index, columns, ScanControl{});
+  }
 
   /// Unhinted acquire: every column materialized.
   Result<PinnedPartition> Acquire(size_t global_index) const {
     return Acquire(global_index, ColumnSet::All());
   }
 
-  /// Control-aware acquire: like Acquire(index, columns), but carrying
-  /// the scan's class and cancel token so cold sources can abort a
-  /// pending load (returning the token's Status with every pin already
-  /// taken released) instead of completing IO for a dead query. The
-  /// default ignores the control and delegates, so sources that never
-  /// block (resident tables, test fakes) need not override it.
-  virtual Result<PinnedPartition> Acquire(size_t global_index,
-                                          const ColumnSet& columns,
-                                          const ScanControl& control) const {
-    (void)control;
-    return Acquire(global_index, columns);
-  }
-
   /// Advisory: the scan cursor has entered shard `s` (fired once per
   /// shard per scan, from whichever lane gets there first), and will read
   /// only `columns`. Out-of-core sources use it to stage upcoming shards'
-  /// column segments ahead of the scan; it must not affect results, only
-  /// timing.
-  virtual void WillScanShard(size_t s, const ColumnSet& columns) const {
+  /// column segments ahead of the scan, charging the read-ahead to the
+  /// control's class share of the prefetch byte budget (batch staging may
+  /// not starve interactive cold loads). It must not affect results, only
+  /// timing. Default no-op.
+  virtual void WillScanShard(size_t s, const ColumnSet& columns,
+                             const ScanControl& control) const {
     (void)s;
     (void)columns;
+    (void)control;
+  }
+
+  /// Scan-entry hint with a default control.
+  virtual void WillScanShard(size_t s, const ColumnSet& columns) const {
+    WillScanShard(s, columns, ScanControl{});
   }
 
   void WillScanShard(size_t s) const { WillScanShard(s, ColumnSet::All()); }
 
-  /// Control-aware scan-entry hint: the class routes an out-of-core
-  /// source's read-ahead to the right share of the prefetch byte budget
-  /// (batch staging may not starve interactive cold loads). Advisory like
-  /// the 2-arg form; the default ignores the control and delegates.
-  virtual void WillScanShard(size_t s, const ColumnSet& columns,
-                             const ScanControl& control) const {
-    (void)control;
-    WillScanShard(s, columns);
-  }
-
   /// Advisory read-ahead hook with an *explicit* shard plan: the scan has
   /// entered plan[current] and will touch only `columns` of the plan's
   /// partitions. This is how a filtered view of this source (a picked
-  /// subset, see PickedSource) routes its prefetch hints: the base source
-  /// stages upcoming shards of *the view's plan*, so read-ahead budget is
-  /// never spent on partitions the view pruned. Default no-op; like
-  /// WillScanShard it must not affect results, only timing.
-  virtual void StageHint(const std::vector<std::vector<size_t>>& plan,
-                         size_t current, const ColumnSet& columns) const {
-    (void)plan;
-    (void)current;
-    (void)columns;
-  }
-
-  /// Control-aware plan hint, for views that must forward the scan's
-  /// class/token along with their filtered plan. Default delegates to the
-  /// classless form.
+  /// subset, see PickedSource) routes its prefetch hints, class and token
+  /// included: the base source stages upcoming shards of *the view's
+  /// plan*, so read-ahead budget is never spent on partitions the view
+  /// pruned. Default no-op; like WillScanShard it must not affect
+  /// results, only timing.
   virtual void StageHint(const std::vector<std::vector<size_t>>& plan,
                          size_t current, const ColumnSet& columns,
                          const ScanControl& control) const {
+    (void)plan;
+    (void)current;
+    (void)columns;
     (void)control;
-    StageHint(plan, current, columns);
+  }
+
+  /// Plan hint with a default control.
+  virtual void StageHint(const std::vector<std::vector<size_t>>& plan,
+                         size_t current, const ColumnSet& columns) const {
+    StageHint(plan, current, columns, ScanControl{});
   }
 
   /// Planning-time accounting: encoded (on-disk) bytes a fully-cold scan
@@ -169,30 +165,43 @@ class PartitionSource {
   virtual std::vector<size_t> UnreachablePartitions() const { return {}; }
 };
 
-/// Resident adapter: a ShardedTable viewed as a PartitionSource. Acquire
-/// never fails, pins nothing (the table is borrowed, per the existing
-/// evaluator contract), and ignores the column hint — every column is
-/// already resident; WillScanShard is a no-op. The table must outlive
-/// the source.
+/// Resident adapter: a ShardedTable, or a flat PartitionedTable served as
+/// one shard, viewed as a PartitionSource. Acquire never fails, pins
+/// nothing (the table is borrowed, per the existing evaluator contract),
+/// and ignores the column hint — every column is already resident;
+/// WillScanShard is a no-op. The table must outlive the source.
 class ResidentShardedSource : public PartitionSource {
  public:
-  explicit ResidentShardedSource(const ShardedTable& table) : table_(table) {}
+  explicit ResidentShardedSource(const ShardedTable& table)
+      : table_(table.partitioned()) {
+    for (size_t s = 0; s < table.num_shards(); ++s) {
+      shards_.push_back(table.shard(s));
+    }
+  }
+  /// One shard owning every partition: the flat scan is the 1-shard case
+  /// of the sharded fan-out, so answers match any sharding bit for bit.
+  explicit ResidentShardedSource(const PartitionedTable& table)
+      : table_(table),
+        shards_(AssignShards(table.num_partitions(), 1,
+                             ShardAssignment::kRange)) {}
 
   const Schema& schema() const override { return table_.schema(); }
   size_t num_partitions() const override { return table_.num_partitions(); }
-  size_t num_shards() const override { return table_.num_shards(); }
+  size_t num_shards() const override { return shards_.size(); }
   const std::vector<size_t>& shard(size_t s) const override {
-    return table_.shard(s);
+    return shards_[s];
   }
-  Result<PinnedPartition> Acquire(size_t global_index,
-                                  const ColumnSet& columns) const override {
+  Result<PinnedPartition> Acquire(size_t global_index, const ColumnSet& columns,
+                                  const ScanControl& control) const override {
     (void)columns;
+    (void)control;
     return PinnedPartition(table_.partition(global_index));
   }
   using PartitionSource::Acquire;
 
  private:
-  const ShardedTable& table_;
+  const PartitionedTable& table_;
+  std::vector<std::vector<size_t>> shards_;
 };
 
 }  // namespace ps3::storage

@@ -55,19 +55,12 @@ class PickedSource : public PartitionSource {
   }
 
   Result<PinnedPartition> Acquire(size_t global_index,
-                                  const ColumnSet& columns) const override {
-    return base_.Acquire(global_index, columns);
-  }
-  Result<PinnedPartition> Acquire(size_t global_index,
                                   const ColumnSet& columns,
                                   const ScanControl& control) const override {
     return base_.Acquire(global_index, columns, control);
   }
   using PartitionSource::Acquire;
 
-  void WillScanShard(size_t s, const ColumnSet& columns) const override {
-    base_.StageHint(shards_, s, columns);
-  }
   /// The scan's class/token ride along with the filtered plan, so an
   /// out-of-core base charges this view's read-ahead to the right class
   /// share.

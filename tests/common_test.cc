@@ -203,6 +203,31 @@ TEST(MathUtil, SquaredL2) {
   EXPECT_DOUBLE_EQ(SquaredL2({0, 0}, {3, 4}), 25.0);
 }
 
+TEST(MathUtil, LatencyEwmaFirstSampleSeeds) {
+  EXPECT_EQ(LatencyEwmaStep(0, 4000), 4000u);
+  // A deviation cell (floor 0) may legitimately be seeded with 0.
+  EXPECT_EQ(LatencyEwmaStep(0, 0, /*floor=*/0), 0u);
+}
+
+TEST(MathUtil, LatencyEwmaFastSampleAfterSlowDoesNotWrap) {
+  // The naive `prev + (sample - prev) / 4` wraps unsigned here.
+  const uint64_t next = LatencyEwmaStep(40000, 10);
+  EXPECT_EQ(next, 40000u - 10000u + 2u);
+  EXPECT_LT(next, 40000u);
+  // Repeated fast samples decay toward the sample and settle just above
+  // it (integer rounding).
+  uint64_t cell = 40000;
+  for (int i = 0; i < 200; ++i) cell = LatencyEwmaStep(cell, 10);
+  EXPECT_GE(cell, 10u);
+  EXPECT_LT(cell, 20u);
+}
+
+TEST(MathUtil, LatencyEwmaSubMicrosecondSampleClampsToOne) {
+  // 0 is the "unseeded" sentinel, so a sub-µs sample must not produce it.
+  EXPECT_EQ(LatencyEwmaStep(0, 0), 1u);
+  EXPECT_EQ(LatencyEwmaStep(8, 0), 8u - 2u + 1u);
+}
+
 TEST(Status, RoundTrip) {
   Status ok = Status::OK();
   EXPECT_TRUE(ok.ok());

@@ -14,6 +14,7 @@
 #include "core/training_data.h"
 #include "query/metrics.h"
 #include "stats/stats_builder.h"
+#include "storage/partition_source.h"
 #include "workload/datasets.h"
 #include "workload/generator.h"
 
@@ -64,7 +65,8 @@ struct Fixture {
 TEST(Contributions, BoundedAndPositiveForActivePartitions) {
   Fixture f;
   Query q = f.CountByNetwork();
-  auto answers = query::EvaluateAllPartitions(q, *f.parts);
+  auto answers = query::EvaluateAllPartitions(
+      q, storage::ResidentShardedSource(*f.parts));
   auto exact = query::ExactAnswer(q, answers);
   auto contrib = ComputeContributions(q, answers, exact);
   ASSERT_EQ(contrib.size(), f.parts->num_partitions());
@@ -84,7 +86,8 @@ TEST(Contributions, ZeroForFilteredOutPartitions) {
   int32_t code = f.table->column(tenant_col).dict()->Find("Tenant_0");
   ASSERT_GE(code, 0);
   q.predicate = Predicate::CategoricalIn(tenant_col, {code});
-  auto answers = query::EvaluateAllPartitions(q, *f.parts);
+  auto answers = query::EvaluateAllPartitions(
+      q, storage::ResidentShardedSource(*f.parts));
   auto exact = query::ExactAnswer(q, answers);
   auto contrib = ComputeContributions(q, answers, exact);
   size_t zero = 0;
@@ -225,7 +228,8 @@ TEST(RandomPicker, CountEstimateIsUnbiased) {
   RandomPicker picker(f.ctx);
   Query q;
   q.aggregates = {Aggregate::Count()};
-  auto answers = query::EvaluateAllPartitions(q, *f.parts);
+  auto answers = query::EvaluateAllPartitions(
+      q, storage::ResidentShardedSource(*f.parts));
   auto exact = query::ExactAnswer(q, answers);
   double truth = exact.begin()->second[0];
   double mean_est = 0.0;
@@ -268,7 +272,8 @@ TEST(FilterBySelectivity, PerfectRecallOnNumericRange) {
   q.predicate = Predicate::NumericCompare(col, CompareOp::kGt, 100.0);
   auto candidates = FilterBySelectivity(f.ctx, q);
   std::set<size_t> cand_set(candidates.begin(), candidates.end());
-  auto answers = query::EvaluateAllPartitions(q, *f.parts);
+  auto answers = query::EvaluateAllPartitions(
+      q, storage::ResidentShardedSource(*f.parts));
   for (size_t p = 0; p < answers.size(); ++p) {
     bool has_rows = !answers[p].empty() &&
                     answers[p].begin()->second[0].count > 0;
@@ -412,7 +417,8 @@ TEST(Ps3Picker, FullBudgetIsExact) {
   TrainedFixture f;
   Ps3Picker picker(f.ctx, &f.model);
   Query q = f.CountByNetwork();
-  auto answers = query::EvaluateAllPartitions(q, *f.parts);
+  auto answers = query::EvaluateAllPartitions(
+      q, storage::ResidentShardedSource(*f.parts));
   auto exact = query::ExactAnswer(q, answers);
   RandomEngine rng(17);
   Selection s = picker.Pick(q, f.parts->num_partitions(), &rng, nullptr);
@@ -462,7 +468,8 @@ TEST(Ps3Picker, OracleModeRuns) {
   TrainedFixture f;
   Ps3Picker picker(f.ctx, &f.model);
   picker.set_oracle([&f](const Query& q) {
-    auto answers = query::EvaluateAllPartitions(q, *f.parts);
+    auto answers = query::EvaluateAllPartitions(
+        q, storage::ResidentShardedSource(*f.parts));
     auto exact = query::ExactAnswer(q, answers);
     return ComputeContributions(q, answers, exact);
   });

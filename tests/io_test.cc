@@ -562,9 +562,10 @@ TEST(PartitionStore, EncodedBytesAccountingSplitsDiskFromCache) {
 TEST(PartitionStore, ForcedEncodingSpillsScanBitExact) {
   auto bundle = workload::MakeAria(700, /*seed=*/67);
   storage::PartitionedTable pt(bundle.table, 5);
+  const storage::ResidentShardedSource flat_src(pt);
   query::Query q = CountSumQuery(*bundle.table);
   const auto resident =
-      query::ExactAnswer(q, query::EvaluateAllPartitions(q, pt, {}));
+      query::ExactAnswer(q, query::EvaluateAllPartitions(q, flat_src, {}));
 
   for (io::EncodingMode mode :
        {io::EncodingMode::kRaw, io::EncodingMode::kBitpack,
@@ -596,6 +597,7 @@ TEST(PartitionStore, CorruptManifestFailsOpen) {
 TEST(PartitionStore, CorruptPartitionFailsFetchAndScan) {
   auto bundle = workload::MakeAria(400, /*seed=*/17);
   storage::PartitionedTable pt(bundle.table, 4);
+  const storage::ResidentShardedSource flat_src(pt);
   const std::string dir = MakeSpillDir();
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   FlipByte(PartPath(dir, 2), 40);
@@ -611,14 +613,15 @@ TEST(PartitionStore, CorruptPartitionFailsFetchAndScan) {
   io::ColdShardedSource cold(store->get(), 2);
   query::Query q = CountSumQuery(*bundle.table);
   EXPECT_THROW(query::EvaluateAllPartitions(q, cold, {}), std::runtime_error);
-  auto resident = query::EvaluateAllPartitions(q, pt, {});
+  auto resident = query::EvaluateAllPartitions(q, flat_src, {});
   EXPECT_EQ(resident.size(), pt.num_partitions());
 
   // Through the scheduler: only the cold query's future is poisoned.
   runtime::QueryScheduler scheduler;
-  storage::ShardedTable st(pt, 2);
+  const storage::ShardedTable st(pt, 2);
+  const storage::ResidentShardedSource sharded_src(st);
   auto bad = scheduler.Submit(q, cold);
-  auto good = scheduler.Submit(q, st);
+  auto good = scheduler.Submit(q, sharded_src);
   EXPECT_THROW(bad.get(), std::runtime_error);
   EXPECT_FALSE(good.get().empty());
 }
@@ -904,6 +907,7 @@ TEST(PartitionStore, PartialResidencyUpgradeFetchesOnlyMissingSegments) {
 TEST(ColdScan, EvaluatorPrunesToReferencedColumns) {
   auto bundle = workload::MakeTpchStar(2000, /*seed=*/59);
   storage::PartitionedTable pt(bundle.table, 8);
+  const storage::ResidentShardedSource flat_src(pt);
   const std::string dir = MakeSpillDir();
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   auto store = io::PartitionStore::Open(dir, {});
@@ -922,7 +926,7 @@ TEST(ColdScan, EvaluatorPrunesToReferencedColumns) {
   EXPECT_EQ((*store)->store_stats().segments_loaded,
             n_refs * (*store)->num_partitions());
   // ...and the pruned answers are identical to the resident scan's.
-  auto resident = query::EvaluateAllPartitions(q, pt, {});
+  auto resident = query::EvaluateAllPartitions(q, flat_src, {});
   ExpectAnswersEqual(query::ExactAnswer(q, resident),
                      query::ExactAnswer(q, cold_answers));
 
@@ -934,7 +938,7 @@ TEST(ColdScan, EvaluatorPrunesToReferencedColumns) {
   auto counted = query::EvaluateAllPartitions(count_star, cold, {});
   EXPECT_EQ((*store)->store_stats().segments_loaded, before.segments_loaded);
   auto expected = query::ExactAnswer(
-      count_star, query::EvaluateAllPartitions(count_star, pt, {}));
+      count_star, query::EvaluateAllPartitions(count_star, flat_src, {}));
   ExpectAnswersEqual(expected, query::ExactAnswer(count_star, counted));
 }
 
@@ -978,6 +982,7 @@ TEST(PrefetchPipeline, AdaptiveDistanceWidensWhenLoadsLagScans) {
 TEST(ColdScan, BitExactWithResidentUnderBothPolicies) {
   auto bundle = workload::MakeTpchStar(3000, /*seed=*/41);
   storage::PartitionedTable pt(bundle.table, 11);
+  const storage::ResidentShardedSource flat_src(pt);
   const std::string dir = MakeSpillDir();
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
@@ -994,7 +999,7 @@ TEST(ColdScan, BitExactWithResidentUnderBothPolicies) {
     query::ExecOptions eopts;
     eopts.policy = policy;
     eopts.num_threads = 3;
-    auto resident = query::EvaluateAllPartitions(q, pt, eopts);
+    auto resident = query::EvaluateAllPartitions(q, flat_src, eopts);
     io::ColdShardedSource cold(store->get(), 4);
     auto colded = query::EvaluateAllPartitions(q, cold, eopts);
     ExpectAnswersEqual(query::ExactAnswer(q, resident),
@@ -1008,6 +1013,7 @@ TEST(ColdScan, ConcurrentQueriesSmallCachePinnedScans) {
   // valid while eviction churns around them. Run under TSan in CI.
   auto bundle = workload::MakeTpchStar(4000, /*seed=*/43);
   storage::PartitionedTable pt(bundle.table, 16);
+  const storage::ResidentShardedSource flat_src(pt);
   const std::string dir = MakeSpillDir();
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
@@ -1021,7 +1027,7 @@ TEST(ColdScan, ConcurrentQueriesSmallCachePinnedScans) {
 
   query::Query q = CountSumQuery(*bundle.table);
   const auto expected = query::ExactAnswer(
-      q, query::EvaluateAllPartitions(q, pt,
+      q, query::EvaluateAllPartitions(q, flat_src,
                                       {query::ExecPolicy::kScalar, 1}));
 
   runtime::QueryScheduler scheduler;
@@ -1120,6 +1126,7 @@ TEST(PartitionStoreCancel, CancelledWaiterUnblocksWhileLoaderCompletes) {
 TEST(ColdScanCancel, AbortedColdQueryReleasesEverythingAndSparesSiblings) {
   auto bundle = workload::MakeTpchStar(2000, /*seed=*/79);
   storage::PartitionedTable pt(bundle.table, 12);
+  const storage::ResidentShardedSource flat_src(pt);
   const std::string dir = MakeSpillDir();
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options opts;
@@ -1129,7 +1136,7 @@ TEST(ColdScanCancel, AbortedColdQueryReleasesEverythingAndSparesSiblings) {
 
   query::Query q = CountSumQuery(*bundle.table);
   const auto expected = query::ExactAnswer(
-      q, query::EvaluateAllPartitions(q, pt,
+      q, query::EvaluateAllPartitions(q, flat_src,
                                       {query::ExecPolicy::kScalar, 1}));
 
   runtime::QueryScheduler scheduler;
@@ -1371,6 +1378,7 @@ TEST(FaultInjector, CorruptBytesIsDeterministicAndSingleBit) {
 TEST(FaultBattery, TransientFailuresRetryAndRecoverBitExact) {
   auto bundle = workload::MakeKdd(700, /*seed=*/101);
   storage::PartitionedTable pt(bundle.table, 4);
+  const storage::ResidentShardedSource flat_src(pt);
   const std::string dir = MakeSpillDir();
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
@@ -1396,7 +1404,7 @@ TEST(FaultBattery, TransientFailuresRetryAndRecoverBitExact) {
   // The recovered data serves a scan bit-identical to the resident one.
   query::Query q = CountSumQuery(*bundle.table);
   const auto expected = query::ExactAnswer(
-      q, query::EvaluateAllPartitions(q, pt,
+      q, query::EvaluateAllPartitions(q, flat_src,
                                       {query::ExecPolicy::kScalar, 1}));
   runtime::QueryScheduler scheduler;
   io::ColdShardedSource cold(store->get(), 2);

@@ -31,6 +31,7 @@
 #include "common/hash.h"
 #include "runtime/simd.h"
 #include "stats/stats_builder.h"
+#include "storage/partition_source.h"
 #include "storage/sharded_table.h"
 #include "workload/datasets.h"
 #include "workload/generator.h"
@@ -209,12 +210,13 @@ INSTANTIATE_TEST_SUITE_P(Strata, LssStrataSweep,
 TEST(EdgeCases, EmptyInClauseMatchesNothing) {
   auto bundle = workload::MakeAria(500, 1);
   storage::PartitionedTable pt(bundle.table, 2);
+  const storage::ResidentShardedSource flat_src(pt);
   query::Query q;
   q.aggregates = {query::Aggregate::Count()};
   q.predicate = query::Predicate::CategoricalIn(
       static_cast<size_t>(bundle.table->schema().FindColumn("TenantId")),
       {});
-  auto exact = query::ExactAnswer(q, query::EvaluateAllPartitions(q, pt));
+  auto exact = query::ExactAnswer(q, query::EvaluateAllPartitions(q, flat_src));
   EXPECT_TRUE(exact.empty());
 }
 
@@ -257,9 +259,10 @@ TEST(EdgeCases, MetricsWithEmptyExactAnswer) {
 TEST(EdgeCases, CombineWeightedEmptySelection) {
   auto bundle = workload::MakeAria(500, 5);
   storage::PartitionedTable pt(bundle.table, 4);
+  const storage::ResidentShardedSource flat_src(pt);
   query::Query q;
   q.aggregates = {query::Aggregate::Count()};
-  auto answers = query::EvaluateAllPartitions(q, pt);
+  auto answers = query::EvaluateAllPartitions(q, flat_src);
   auto est = query::CombineWeighted(q, answers, {});
   EXPECT_TRUE(est.empty());
 }
@@ -439,15 +442,16 @@ class ExecEquivalence : public ::testing::TestWithParam<EquivCase> {};
 TEST_P(ExecEquivalence, RandomizedQueriesBitIdentical) {
   auto bundle = GetParam().make(GetParam().rows, /*seed=*/13);
   storage::PartitionedTable pt(bundle.table, GetParam().partitions);
+  const storage::ResidentShardedSource flat_src(pt);
   RandomEngine rng(1234);
   for (int trial = 0; trial < 20; ++trial) {
     query::Query q = RandomQuery(*bundle.table, &rng);
     auto scalar = query::EvaluateAllPartitions(
-        q, pt, {query::ExecPolicy::kScalar, 1});
+        q, flat_src, {query::ExecPolicy::kScalar, 1});
     auto vec1 = query::EvaluateAllPartitions(
-        q, pt, {query::ExecPolicy::kVectorized, 1});
+        q, flat_src, {query::ExecPolicy::kVectorized, 1});
     auto vec4 = query::EvaluateAllPartitions(
-        q, pt, {query::ExecPolicy::kVectorized, 4});
+        q, flat_src, {query::ExecPolicy::kVectorized, 4});
     ExpectAnswersBitIdentical(scalar, vec1, "vectorized-1t");
     ExpectAnswersBitIdentical(scalar, vec4, "vectorized-4t");
 
@@ -458,11 +462,11 @@ TEST_P(ExecEquivalence, RandomizedQueriesBitIdentical) {
     packed.policy = query::ExecPolicy::kVectorized;
     packed.num_threads = 1;
     packed.simd = runtime::SimdLevel::kNone;
-    auto vec_packed = query::EvaluateAllPartitions(q, pt, packed);
+    auto vec_packed = query::EvaluateAllPartitions(q, flat_src, packed);
     ExpectAnswersBitIdentical(scalar, vec_packed, "vectorized-scalar-pack");
     if (runtime::Avx2Available()) {
       packed.simd = runtime::SimdLevel::kAvx2;
-      auto vec_avx2 = query::EvaluateAllPartitions(q, pt, packed);
+      auto vec_avx2 = query::EvaluateAllPartitions(q, flat_src, packed);
       ExpectAnswersBitIdentical(scalar, vec_avx2, "vectorized-avx2");
     }
 
@@ -530,9 +534,10 @@ TEST(ExecEquivalence, FeaturesInvariantToThreadCount) {
 }
 
 // ---------------------------------------------------------------------
-// Shard-count invariance: the same rows sharded 1/2/8 ways must produce
-// bit-identical per-partition answers under both exec policies and both
-// assignment schemes. Sharding assigns whole partitions, so the global
+// Shard-count invariance: the same rows scanned flat (one shard) and
+// sharded 1/2/8 ways must produce bit-identical per-partition answers —
+// equal to the per-partition scalar oracle — under both exec policies and
+// both assignment schemes. Sharding assigns whole partitions, so the global
 // partition set (and each accumulator's addition order) never changes.
 
 struct ShardCase {
@@ -548,24 +553,34 @@ TEST_P(ShardInvariance, BitIdenticalToFlatScan) {
   // 13 partitions: not a multiple of any shard count under test, so range
   // shards are uneven and hash shards can be empty.
   storage::PartitionedTable pt(bundle.table, 13);
+  const storage::ResidentShardedSource flat_src(pt);
   storage::ShardedTable sharded(pt, GetParam().shards, GetParam().assignment);
+  const storage::ResidentShardedSource sharded_src(sharded);
   ASSERT_EQ(sharded.num_partitions(), pt.num_partitions());
 
   RandomEngine rng(4242);
   for (int trial = 0; trial < 8; ++trial) {
     query::Query q = RandomQuery(*bundle.table, &rng);
+    // The fan-out-free oracle: the scalar interpreter, partition by
+    // partition, against which both the flat table (served as one shard)
+    // and the sharded view are checked.
+    std::vector<query::PartitionAnswer> oracle(pt.num_partitions());
+    for (size_t i = 0; i < pt.num_partitions(); ++i) {
+      oracle[i] = query::EvaluateOnPartition(q, pt.partition(i));
+    }
     for (query::ExecPolicy policy :
          {query::ExecPolicy::kScalar, query::ExecPolicy::kVectorized}) {
+      const bool scalar = policy == query::ExecPolicy::kScalar;
       query::ExecOptions opts;
       opts.policy = policy;
       opts.num_threads = 1;
-      auto flat = query::EvaluateAllPartitions(q, pt, opts);
+      auto flat = query::EvaluateAllPartitions(q, flat_src, opts);
+      ExpectAnswersBitIdentical(oracle, flat,
+                                scalar ? "flat-scalar" : "flat-vectorized");
       opts.num_threads = 3;  // fan-out parallelism must not matter either
-      auto fanned = query::EvaluateAllPartitions(q, sharded, opts);
-      ExpectAnswersBitIdentical(flat, fanned,
-                                policy == query::ExecPolicy::kScalar
-                                    ? "sharded-scalar"
-                                    : "sharded-vectorized");
+      auto fanned = query::EvaluateAllPartitions(q, sharded_src, opts);
+      ExpectAnswersBitIdentical(
+          flat, fanned, scalar ? "sharded-scalar" : "sharded-vectorized");
     }
   }
 }
@@ -609,6 +624,7 @@ TEST_P(StoreRoundtripInvariance, ColdScanBitIdenticalToResident) {
   // 13 partitions: uneven shards, and partition sizes that are not a
   // multiple of 64 rows (bitmap tail words cross the file format).
   storage::PartitionedTable pt(bundle.table, 13);
+  const storage::ResidentShardedSource flat_src(pt);
 
   std::string dir = ::testing::TempDir() + "ps3_prop_XXXXXX";
   ASSERT_NE(mkdtemp(dir.data()), nullptr);
@@ -639,7 +655,7 @@ TEST_P(StoreRoundtripInvariance, ColdScanBitIdenticalToResident) {
       query::ExecOptions eopts;
       eopts.policy = policy;
       eopts.num_threads = 1;
-      auto resident = query::EvaluateAllPartitions(q, pt, eopts);
+      auto resident = query::EvaluateAllPartitions(q, flat_src, eopts);
       eopts.num_threads = 3;  // lane count must not matter cold either
       auto first_cold = query::EvaluateAllPartitions(q, cold, eopts);
       ExpectAnswersBitIdentical(resident, first_cold, "cold-scan");
@@ -825,6 +841,7 @@ TEST(CompressionKernels, BitUnpackRoundtripAndForDeltaMatchScalar) {
 TEST(ExecEquivalence, FilterFreeGroupedSimdPathBitIdentical) {
   auto bundle = workload::MakeTpchStar(5000, /*seed=*/91);
   storage::PartitionedTable pt(bundle.table, 9);
+  const storage::ResidentShardedSource flat_src(pt);
   const auto& schema = bundle.table->schema();
   std::vector<size_t> numeric_cols, cat_cols;
   for (size_t c = 0; c < schema.num_columns(); ++c) {
@@ -859,23 +876,23 @@ TEST(ExecEquivalence, FilterFreeGroupedSimdPathBitIdentical) {
     }
 
     auto scalar = query::EvaluateAllPartitions(
-        q, pt, {query::ExecPolicy::kScalar, 1});
+        q, flat_src, {query::ExecPolicy::kScalar, 1});
     query::ExecOptions vopts;
     vopts.policy = query::ExecPolicy::kVectorized;
     vopts.num_threads = 1;
     vopts.simd = runtime::SimdLevel::kNone;
     ExpectAnswersBitIdentical(scalar,
-                              query::EvaluateAllPartitions(q, pt, vopts),
+                              query::EvaluateAllPartitions(q, flat_src, vopts),
                               "grouped-pack64");
     if (runtime::Avx2Available()) {
       vopts.simd = runtime::SimdLevel::kAvx2;
-      ExpectAnswersBitIdentical(scalar,
-                                query::EvaluateAllPartitions(q, pt, vopts),
-                                "grouped-avx2");
+      ExpectAnswersBitIdentical(
+          scalar, query::EvaluateAllPartitions(q, flat_src, vopts),
+          "grouped-avx2");
       vopts.num_threads = 4;
-      ExpectAnswersBitIdentical(scalar,
-                                query::EvaluateAllPartitions(q, pt, vopts),
-                                "grouped-avx2-4t");
+      ExpectAnswersBitIdentical(
+          scalar, query::EvaluateAllPartitions(q, flat_src, vopts),
+          "grouped-avx2-4t");
     }
   }
 }
@@ -883,10 +900,11 @@ TEST(ExecEquivalence, FilterFreeGroupedSimdPathBitIdentical) {
 TEST(EdgeCases, NotOfTruePredicateMatchesNothing) {
   auto bundle = workload::MakeAria(200, 7);
   storage::PartitionedTable pt(bundle.table, 2);
+  const storage::ResidentShardedSource flat_src(pt);
   query::Query q;
   q.aggregates = {query::Aggregate::Count()};
   q.predicate = query::Predicate::Not(query::Predicate::True());
-  auto exact = query::ExactAnswer(q, query::EvaluateAllPartitions(q, pt));
+  auto exact = query::ExactAnswer(q, query::EvaluateAllPartitions(q, flat_src));
   EXPECT_TRUE(exact.empty());
 }
 
@@ -1074,8 +1092,9 @@ TEST(ApproximateServing, FullFractionUniformWeightsEqualsExact) {
       eopts.policy = policy;
       eopts.num_threads = 2;
       const query::QueryAnswer exact =
-          query::ExactAnswer(q, query::EvaluateAllPartitions(q, *fx.pt,
-                                                             eopts));
+          query::ExactAnswer(q, query::EvaluateAllPartitions(
+                                    q, storage::ResidentShardedSource(*fx.pt),
+                                    eopts));
       // At fraction 1.0 the uniform budget covers every candidate, so
       // both pickers return all partitions with weight 1 — the combine
       // degenerates to ExactAnswer and the error estimate vanishes.
@@ -1169,7 +1188,9 @@ TEST(DegradedServing, BitIdenticalAcrossStoreConfigsAndPolicies) {
         ref.num_threads = 1;
         query::ApproxCombined expected = query::CombineWeightedWithError(
             fx.queries[qi],
-            query::EvaluateAllPartitions(fx.queries[qi], *fx.pt, ref), sel);
+            query::EvaluateAllPartitions(
+                fx.queries[qi], storage::ResidentShardedSource(*fx.pt), ref),
+            sel);
         ExpectQueryAnswerBits(expected.value, ans.value, cfg.name);
         ExpectQueryAnswerBits(expected.error, ans.error_estimate, cfg.name);
         reference.push_back(std::move(ans));

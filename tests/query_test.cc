@@ -10,6 +10,7 @@
 #include "query/metrics.h"
 #include "query/query.h"
 #include "query/selection_bitmap.h"
+#include "storage/partition_source.h"
 #include "storage/table.h"
 
 namespace ps3::query {
@@ -119,9 +120,10 @@ TEST(Query, UsedColumnsAndToString) {
 TEST(Evaluator, SumNoGroupBy) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Sum(Expr::Column(0), "sum_x")};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   auto exact = ExactAnswer(q, answers);
   ASSERT_EQ(exact.size(), 1u);
   EXPECT_DOUBLE_EQ(exact.begin()->second[0], 99.0 * 100.0 / 2.0);
@@ -130,10 +132,11 @@ TEST(Evaluator, SumNoGroupBy) {
 TEST(Evaluator, CountWithPredicate) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Count()};
   q.predicate = Predicate::NumericCompare(0, CompareOp::kLt, 30.0);
-  auto exact = ExactAnswer(q, EvaluateAllPartitions(q, pt));
+  auto exact = ExactAnswer(q, EvaluateAllPartitions(q, flat_src));
   ASSERT_EQ(exact.size(), 1u);
   EXPECT_DOUBLE_EQ(exact.begin()->second[0], 30.0);
 }
@@ -141,10 +144,11 @@ TEST(Evaluator, CountWithPredicate) {
 TEST(Evaluator, GroupByCategorical) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Count()};
   q.group_by = {2};
-  auto exact = ExactAnswer(q, EvaluateAllPartitions(q, pt));
+  auto exact = ExactAnswer(q, EvaluateAllPartitions(q, flat_src));
   ASSERT_EQ(exact.size(), 3u);  // a, b, c
   double total = 0.0;
   for (const auto& [key, vals] : exact) total += vals[0];
@@ -159,9 +163,10 @@ TEST(Evaluator, GroupByCategorical) {
 TEST(Evaluator, AvgIsWeightedCorrectly) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Avg(Expr::Column(0), "avg_x")};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   // Take partitions 0 and 9 with weight 5 each: avg must be the weighted
   // sum / weighted count = plain average of the two partitions' rows,
   // not the average of their averages scaled.
@@ -175,9 +180,10 @@ TEST(Evaluator, AvgIsWeightedCorrectly) {
 TEST(Evaluator, WeightedSumScalesUp) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Sum(Expr::Column(0), "sum_x")};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   // Uniform 50% sample of partitions (evens) with HT weight 2 is unbiased
   // here by symmetry up to the layout; just check the arithmetic.
   std::vector<WeightedPartition> sel;
@@ -193,12 +199,13 @@ TEST(Evaluator, WeightedSumScalesUp) {
 TEST(Evaluator, CombineWithErrorWeightOneEqualsExact) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Sum(Expr::Column(0), "sum_x"),
                   Aggregate::Count("n"),
                   Aggregate::Avg(Expr::Column(1), "avg_y")};
   q.group_by = {2};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   auto exact = ExactAnswer(q, answers);
   std::vector<WeightedPartition> sel;
   for (size_t p = 0; p < 10; ++p) sel.push_back({p, 1.0});
@@ -224,10 +231,11 @@ TEST(Evaluator, CombineWithErrorWeightOneEqualsExact) {
 TEST(Evaluator, CombineWithErrorMatchesHandComputedVariance) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Sum(Expr::Column(0), "sum_x"),
                   Aggregate::Count("n")};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   // Partition p holds rows 10p..10p+9, so sum_p(x) = 100p + 45 and
   // count_p = 10: small enough to hand-compute the HT/Poisson estimator
   // V = sum_{w_j > 1} (1 - 1/w_j) * (w_j * t_j)^2 independently of the
@@ -250,9 +258,10 @@ TEST(Evaluator, CombineWithErrorMatchesHandComputedVariance) {
 TEST(Evaluator, CombineWithErrorAvgUsesDeltaMethod) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Avg(Expr::Column(0), "avg_x")};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   std::vector<WeightedPartition> sel{{1, 2.0}, {3, 4.0}, {5, 1.0}};
   auto combined = CombineWeightedWithError(q, answers, sel);
   ASSERT_EQ(combined.value.size(), 1u);
@@ -275,10 +284,11 @@ TEST(Evaluator, CombineWithErrorAvgUsesDeltaMethod) {
 TEST(Evaluator, CombineWithErrorMinMaxErrorIsZero) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Min(Expr::Column(0), "min_x"),
                   Aggregate::Max(Expr::Column(0), "max_x")};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   // Extrema are one-sided bounds under sampling, not reweighted
   // estimates: the error contract pins them to exactly zero even at
   // large weights, and the values stay weight-free.
@@ -294,10 +304,11 @@ TEST(Evaluator, CombineWithErrorMinMaxErrorIsZero) {
 TEST(Evaluator, CanonicalizeSelectionPinsCombineOrder) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Sum(Expr::Column(1), "sum_y")};
   q.group_by = {2};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   std::vector<WeightedPartition> shuffled{{7, 2.5}, {0, 3.0}, {4, 1.5}};
   std::vector<WeightedPartition> sorted{{0, 3.0}, {4, 1.5}, {7, 2.5}};
   CanonicalizeSelection(&shuffled);
@@ -325,6 +336,7 @@ TEST(Evaluator, CanonicalizeSelectionPinsCombineOrder) {
 TEST(Evaluator, CaseFilterAggregates) {
   auto t = MakeTable();
   PartitionedTable pt(t, 5);
+  const storage::ResidentShardedSource flat_src(pt);
   int32_t b = t->column(2).dict()->Find("b");
   Query q;
   q.aggregates = {
@@ -332,7 +344,7 @@ TEST(Evaluator, CaseFilterAggregates) {
                 Predicate::CategoricalIn(2, {b}), "count_b"},
       Aggregate::Count("count_all"),
   };
-  auto exact = ExactAnswer(q, EvaluateAllPartitions(q, pt));
+  auto exact = ExactAnswer(q, EvaluateAllPartitions(q, flat_src));
   ASSERT_EQ(exact.size(), 1u);
   EXPECT_DOUBLE_EQ(exact.begin()->second[0], 25.0);
   EXPECT_DOUBLE_EQ(exact.begin()->second[1], 100.0);
@@ -341,6 +353,7 @@ TEST(Evaluator, CaseFilterAggregates) {
 TEST(Evaluator, MinMaxBasicAndPolicyAgreement) {
   auto t = MakeTable();
   PartitionedTable pt(t, 5);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Min(Expr::Column(0), "min_x"),
                   Aggregate::Max(Expr::Column(1), "max_y")};
@@ -350,7 +363,7 @@ TEST(Evaluator, MinMaxBasicAndPolicyAgreement) {
        Predicate::NumericCompare(0, CompareOp::kLt, 90.0)});
   for (ExecPolicy policy : {ExecPolicy::kScalar, ExecPolicy::kVectorized}) {
     auto exact =
-        ExactAnswer(q, EvaluateAllPartitions(q, pt, {policy, 1}));
+        ExactAnswer(q, EvaluateAllPartitions(q, flat_src, {policy, 1}));
     ASSERT_EQ(exact.size(), 1u);
     EXPECT_DOUBLE_EQ(exact.begin()->second[0], 10.0);
     EXPECT_DOUBLE_EQ(exact.begin()->second[1], 89.0 * 89.0);
@@ -360,10 +373,11 @@ TEST(Evaluator, MinMaxBasicAndPolicyAgreement) {
 TEST(Evaluator, MinMaxCombineIsWeightFree) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Min(Expr::Column(0), "min_x"),
                   Aggregate::Max(Expr::Column(0), "max_x")};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   // Partition weights scale sums and counts, never extrema: MIN/MAX over
   // the weighted union are still the smallest/largest observed values.
   std::vector<WeightedPartition> sel{{2, 5.0}, {7, 5.0}};
@@ -376,6 +390,7 @@ TEST(Evaluator, MinMaxCombineIsWeightFree) {
 TEST(Evaluator, MinMaxOverEmptyRowSetIsZero) {
   auto t = MakeTable();
   PartitionedTable pt(t, 2);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Min(Expr::Column(0), "min_x"),
                   Aggregate::Max(Expr::Column(0), "max_x"),
@@ -384,7 +399,7 @@ TEST(Evaluator, MinMaxOverEmptyRowSetIsZero) {
   q.group_by = {2};
   for (ExecPolicy policy : {ExecPolicy::kScalar, ExecPolicy::kVectorized}) {
     auto exact =
-        ExactAnswer(q, EvaluateAllPartitions(q, pt, {policy, 1}));
+        ExactAnswer(q, EvaluateAllPartitions(q, flat_src, {policy, 1}));
     // No rows match: no groups at all (like SUM/COUNT/AVG).
     EXPECT_TRUE(exact.empty());
   }
@@ -398,7 +413,7 @@ TEST(Evaluator, MinMaxOverEmptyRowSetIsZero) {
       Aggregate::Count()};
   for (ExecPolicy policy : {ExecPolicy::kScalar, ExecPolicy::kVectorized}) {
     auto exact =
-        ExactAnswer(q2, EvaluateAllPartitions(q2, pt, {policy, 1}));
+        ExactAnswer(q2, EvaluateAllPartitions(q2, flat_src, {policy, 1}));
     ASSERT_EQ(exact.size(), 1u);
     EXPECT_DOUBLE_EQ(exact.begin()->second[0], 0.0);
     EXPECT_DOUBLE_EQ(exact.begin()->second[1], 100.0);
@@ -408,20 +423,22 @@ TEST(Evaluator, MinMaxOverEmptyRowSetIsZero) {
 TEST(Evaluator, GroupByNumericColumn) {
   auto t = MakeTable();
   PartitionedTable pt(t, 4);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Count()};
   q.group_by = {0};  // x: 100 distinct values
-  auto exact = ExactAnswer(q, EvaluateAllPartitions(q, pt));
+  auto exact = ExactAnswer(q, EvaluateAllPartitions(q, flat_src));
   EXPECT_EQ(exact.size(), 100u);
 }
 
 TEST(Metrics, PerfectEstimateIsZeroError) {
   auto t = MakeTable();
   PartitionedTable pt(t, 10);
+  const storage::ResidentShardedSource flat_src(pt);
   Query q;
   q.aggregates = {Aggregate::Sum(Expr::Column(0), "s")};
   q.group_by = {2};
-  auto answers = EvaluateAllPartitions(q, pt);
+  auto answers = EvaluateAllPartitions(q, flat_src);
   auto exact = ExactAnswer(q, answers);
   auto m = ComputeErrorMetrics(q, exact, exact);
   EXPECT_DOUBLE_EQ(m.missed_groups, 0.0);

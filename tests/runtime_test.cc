@@ -17,6 +17,7 @@
 
 #include "query/evaluator.h"
 #include "runtime/worker_pool.h"
+#include "storage/partition_source.h"
 #include "workload/datasets.h"
 
 namespace ps3 {
@@ -325,17 +326,29 @@ TEST(WorkerPoolCancel, CancelMidFlightFromAnotherThread) {
   });
   runtime::WorkerPool::TaskOptions topts;
   topts.cancel = &token;
+  // Past item 64 the victim holds its lanes until the token fires, so it
+  // cannot finish all its items before the canceller gets scheduled. The
+  // wait is bounded so a broken cancel path fails the test, not hangs it.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
   try {
     pool.ParallelFor(
         1 << 20,
         [&](size_t) {
-          victim_ran.fetch_add(1, std::memory_order_relaxed);
+          const size_t ran =
+              victim_ran.fetch_add(1, std::memory_order_relaxed) + 1;
+          while (ran >= 64 && !token.cancelled() &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
           volatile double x = 1.0;
           for (int k = 0; k < 20; ++k) x = x * 1.0000001;
           (void)x;
         },
         topts);
-    FAIL() << "expected QueryAborted";
+    // ADD_FAILURE, not FAIL: returning here would leave the canceller and
+    // sibling threads joinable, and their destructors would terminate.
+    ADD_FAILURE() << "expected QueryAborted";
   } catch (const QueryAborted& e) {
     EXPECT_EQ(e.status().code(), StatusCode::kCancelled);
   }
@@ -481,6 +494,7 @@ TEST(WorkerPool, VectorScratchReusedAcrossQueriesOnSamePool) {
   // per-lane VectorScratch (bitmaps + dense group-id table) per query.
   auto bundle = workload::MakeTpchStar(4000, /*seed=*/3);
   storage::PartitionedTable pt(bundle.table, 16);
+  const storage::ResidentShardedSource flat_src(pt);
   query::Query q;
   q.aggregates = {query::Aggregate::Count()};
 
@@ -492,7 +506,7 @@ TEST(WorkerPool, VectorScratchReusedAcrossQueriesOnSamePool) {
 
   const size_t before = query::VectorScratchCreatedForTesting();
   for (int round = 0; round < 6; ++round) {
-    auto answers = query::EvaluateAllPartitions(q, pt, opts);
+    auto answers = query::EvaluateAllPartitions(q, flat_src, opts);
     ASSERT_EQ(answers.size(), 16u);
   }
   const size_t delta = query::VectorScratchCreatedForTesting() - before;

@@ -57,7 +57,8 @@ void ExpectAnswerBitIdentical(const query::QueryAnswer& expected,
 
 /// Shared fixture data: a TPC-H-style table (13 partitions — not a
 /// multiple of any shard count, so shard runs are uneven), a 4-shard view
-/// of it, a randomized query set, and the serial scalar reference answer
+/// of it, both served as resident PartitionSources (the flat table as one
+/// shard), a randomized query set, and the serial scalar reference answer
 /// for every query.
 struct StreamFixture {
   static constexpr size_t kQueries = 12;
@@ -66,6 +67,8 @@ struct StreamFixture {
     bundle = workload::MakeTpchStar(4000, /*seed=*/29);
     pt = std::make_unique<storage::PartitionedTable>(bundle.table, 13);
     sharded = std::make_unique<storage::ShardedTable>(*pt, 4);
+    flat = std::make_unique<storage::ResidentShardedSource>(*pt);
+    sharded_src = std::make_unique<storage::ResidentShardedSource>(*sharded);
     workload::QueryGenerator gen(bundle.table.get(), bundle.spec);
     queries = gen.GenerateSet(kQueries, /*seed=*/97);
     serial.reserve(queries.size());
@@ -74,13 +77,15 @@ struct StreamFixture {
       ref.policy = query::ExecPolicy::kScalar;
       ref.num_threads = 1;
       serial.push_back(
-          query::ExactAnswer(q, query::EvaluateAllPartitions(q, *pt, ref)));
+          query::ExactAnswer(q, query::EvaluateAllPartitions(q, *flat, ref)));
     }
   }
 
   workload::DatasetBundle bundle;
   std::unique_ptr<storage::PartitionedTable> pt;
   std::unique_ptr<storage::ShardedTable> sharded;
+  std::unique_ptr<storage::ResidentShardedSource> flat;
+  std::unique_ptr<storage::ResidentShardedSource> sharded_src;
   std::vector<query::Query> queries;
   std::vector<query::QueryAnswer> serial;
 };
@@ -118,12 +123,12 @@ TEST_P(SchedulerEquivalence, ConcurrentSubmissionBitIdenticalToSerial) {
           query::ExecOptions opts;
           opts.policy = policy;
           opts.num_threads = 1 + static_cast<int>(i % 3);
-          // Alternate flat and sharded admission: both entry points must
-          // meet the same determinism contract.
+          // Alternate the flat (one-shard) and the sharded resident
+          // source: both must meet the same determinism contract.
           futures[t].push_back(
               i % 2 == 0
-                  ? scheduler.Submit(fx.queries[i], *fx.pt, opts)
-                  : scheduler.Submit(fx.queries[i], *fx.sharded, opts));
+                  ? scheduler.Submit(fx.queries[i], *fx.flat, opts)
+                  : scheduler.Submit(fx.queries[i], *fx.sharded_src, opts));
         }
       });
     }
@@ -149,25 +154,6 @@ INSTANTIATE_TEST_SUITE_P(Policies, SchedulerEquivalence,
                                       : std::string("vectorized");
                          });
 
-TEST(QueryScheduler, PartialsMatchDirectEvaluation) {
-  StreamFixture& fx = Fixture();
-  runtime::QueryScheduler scheduler;
-  std::vector<std::future<std::vector<query::PartitionAnswer>>> futures;
-  for (size_t i = 0; i < fx.queries.size(); ++i) {
-    futures.push_back(i % 2 == 0
-                          ? scheduler.SubmitPartials(fx.queries[i], *fx.pt)
-                          : scheduler.SubmitPartials(fx.queries[i],
-                                                     *fx.sharded));
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    auto partials = futures[i].get();
-    ASSERT_EQ(partials.size(), fx.pt->num_partitions());
-    ExpectAnswerBitIdentical(fx.serial[i],
-                             query::ExactAnswer(fx.queries[i], partials),
-                             "partials");
-  }
-}
-
 TEST(QueryScheduler, ThrowingTaskFailsOnlyItsOwnFuture) {
   StreamFixture& fx = Fixture();
   runtime::QueryScheduler::Options sopts;
@@ -182,7 +168,7 @@ TEST(QueryScheduler, ThrowingTaskFailsOnlyItsOwnFuture) {
   std::vector<std::future<void>> poisoned;
   for (int round = 0; round < 3; ++round) {
     for (size_t i = 0; i < 4; ++i) {
-      good.push_back(scheduler.Submit(fx.queries[i], *fx.pt));
+      good.push_back(scheduler.Submit(fx.queries[i], *fx.flat));
       poisoned.push_back(scheduler.Defer([&scheduler] {
         scheduler.pool().ParallelFor(1024, [](size_t j) {
           if (j == 513) throw std::runtime_error("kernel fault");
@@ -198,7 +184,7 @@ TEST(QueryScheduler, ThrowingTaskFailsOnlyItsOwnFuture) {
                              "healthy-sibling");
   }
   // Still serviceable: a fresh round after the faults.
-  auto after = scheduler.Submit(fx.queries[5], *fx.sharded);
+  auto after = scheduler.Submit(fx.queries[5], *fx.sharded_src);
   ExpectAnswerBitIdentical(fx.serial[5], after.get(), "after-faults");
 }
 
@@ -211,7 +197,7 @@ TEST(QueryScheduler, DestructorDrainsAdmittedWork) {
     sopts.num_drivers = 2;  // fewer drivers than admitted queries
     runtime::QueryScheduler scheduler(sopts);
     for (size_t i = 0; i < fx.queries.size(); ++i) {
-      futures.push_back(scheduler.Submit(fx.queries[i], *fx.pt));
+      futures.push_back(scheduler.Submit(fx.queries[i], *fx.flat));
     }
     futures.push_back(scheduler.Defer([&] {
       ran.fetch_add(1);
@@ -243,7 +229,7 @@ TEST(QueryScheduler, SubmitIsThreadSafeUnderChurn) {
       }
     });
   }
-  auto q = scheduler.Submit(fx.queries[0], *fx.pt);
+  auto q = scheduler.Submit(fx.queries[0], *fx.flat);
   for (auto& s : submitters) s.join();
   size_t collected = 0;
   for (auto& per_thread : futs) {
@@ -290,8 +276,8 @@ TEST(MultiTenant, MixedClassConcurrentBitIdenticalToSerial) {
           if (i % 3 == 0) submit.deadline = std::chrono::seconds(300);
           futures[t].push_back(
               i % 2 == 0
-                  ? scheduler.Submit(fx.queries[i], *fx.pt, submit, opts)
-                  : scheduler.Submit(fx.queries[i], *fx.sharded, submit,
+                  ? scheduler.Submit(fx.queries[i], *fx.flat, submit, opts)
+                  : scheduler.Submit(fx.queries[i], *fx.sharded_src, submit,
                                      opts));
         }
       });
@@ -319,8 +305,8 @@ TEST(MultiTenant, ExpiredDeadlineFailsFastWithoutPoisoningSiblings) {
     for (size_t i = 0; i < 4; ++i) {
       runtime::SubmitOptions submit;
       submit.deadline = std::chrono::microseconds(-1);  // already expired
-      dead.push_back(scheduler.Submit(fx.queries[i], *fx.pt, submit));
-      alive.push_back(scheduler.Submit(fx.queries[i], *fx.sharded));
+      dead.push_back(scheduler.Submit(fx.queries[i], *fx.flat, submit));
+      alive.push_back(scheduler.Submit(fx.queries[i], *fx.sharded_src));
     }
   }
   for (auto& f : dead) {
@@ -348,7 +334,7 @@ TEST(MultiTenant, CancelResolvesFutureAndSparesSiblings) {
     runtime::SubmitOptions submit;
     submit.cancel = std::make_shared<CancelToken>();
     submit.cancel->Cancel();
-    auto fut = scheduler.Submit(fx.queries[0], *fx.pt, submit);
+    auto fut = scheduler.Submit(fx.queries[0], *fx.flat, submit);
     try {
       fut.get();
       FAIL() << "expected QueryAborted";
@@ -364,8 +350,8 @@ TEST(MultiTenant, CancelResolvesFutureAndSparesSiblings) {
   for (int round = 0; round < 8; ++round) {
     runtime::SubmitOptions submit;
     submit.cancel = std::make_shared<CancelToken>();
-    auto racy = scheduler.Submit(fx.queries[1], *fx.pt, submit);
-    auto sibling = scheduler.Submit(fx.queries[2], *fx.sharded);
+    auto racy = scheduler.Submit(fx.queries[1], *fx.flat, submit);
+    auto sibling = scheduler.Submit(fx.queries[2], *fx.sharded_src);
     std::thread canceller(
         [token = submit.cancel] { token->Cancel(); });
     try {
@@ -384,13 +370,13 @@ TEST(MultiTenant, CancelResolvesFutureAndSparesSiblings) {
     submit.cancel->Cancel();
     std::vector<std::future<query::QueryAnswer>> group;
     for (size_t i = 0; i < 3; ++i) {
-      group.push_back(scheduler.Submit(fx.queries[i], *fx.pt, submit));
+      group.push_back(scheduler.Submit(fx.queries[i], *fx.flat, submit));
     }
     for (auto& f : group) EXPECT_THROW(f.get(), QueryAborted);
   }
   // Scheduler still serviceable after all the aborts.
   ExpectAnswerBitIdentical(fx.serial[3],
-                           scheduler.Submit(fx.queries[3], *fx.pt).get(),
+                           scheduler.Submit(fx.queries[3], *fx.flat).get(),
                            "after-cancels");
 }
 
@@ -482,7 +468,7 @@ TEST(QueryScheduler, ApproximateInvalidFractionPoisonsOnlyItsFuture) {
   }
   // The scheduler stays serviceable after the rejections.
   ExpectAnswerBitIdentical(
-      fx.serial[1], scheduler.Submit(fx.queries[1], *fx.sharded).get(),
+      fx.serial[1], scheduler.Submit(fx.queries[1], *fx.sharded_src).get(),
       "after-bad-fraction");
 }
 
@@ -494,10 +480,14 @@ TEST(QueryScheduler, ConcurrentApproximateBitIdenticalToSerial) {
   // runs per-query with its own seeded RNG and the combine order is
   // canonical, so concurrency can't reorder anything observable.
   StreamFixture& fx = Fixture();
-  storage::ResidentShardedSource src(*fx.sharded);
   core::PickerContext ctx;
   ctx.table = fx.pt.get();
   core::RandomPicker picker(ctx);
+  // Alternate the sharded and the flat resident source: the pick and the
+  // combine are shard-blind, so both must match the same reference.
+  auto src = [&fx](size_t i) -> const storage::PartitionSource& {
+    return i % 2 == 0 ? *fx.sharded_src : *fx.flat;
+  };
 
   auto approx_opts = [](size_t i) {
     runtime::ApproxOptions aopts;
@@ -517,8 +507,8 @@ TEST(QueryScheduler, ConcurrentApproximateBitIdenticalToSerial) {
       opts.num_threads = 1;
       reference.push_back(
           serial_sched
-              .SubmitApproximate(fx.queries[i], src, picker, approx_opts(i),
-                                 opts)
+              .SubmitApproximate(fx.queries[i], src(i), picker,
+                                 approx_opts(i), opts)
               .get());
     }
   }
@@ -541,8 +531,8 @@ TEST(QueryScheduler, ConcurrentApproximateBitIdenticalToSerial) {
                                    : query::ExecPolicy::kVectorized;
           opts.num_threads = 1 + static_cast<int>(i % 3);
           futures[t].push_back(scheduler.SubmitApproximate(
-              fx.queries[i], src, picker, approx_opts(i), opts));
-          auto exact = scheduler.Submit(fx.queries[i], *fx.sharded, opts);
+              fx.queries[i], src(i + 1), picker, approx_opts(i), opts));
+          auto exact = scheduler.Submit(fx.queries[i], *fx.sharded_src, opts);
           std::lock_guard<std::mutex> lock(exact_mu);
           exact_siblings.push_back(std::move(exact));
         }
@@ -645,18 +635,26 @@ TEST(DegradedServing, ExactSubmitFailsFastNamingLostPartitions) {
   runtime::QueryScheduler scheduler;
   // Both the exact path and the degradable path in its default kFail
   // mode refuse to serve: the failure is structured, naming exactly the
-  // lost set so the consumer can re-plan around it.
+  // lost set so the consumer can re-plan around it. Plain Submit refuses
+  // even when asked for kApproximate: its future cannot carry a degraded
+  // answer, and the plan it shares with SubmitDegradable must not leak
+  // one into it.
   auto exact = scheduler.Submit(fx.queries[0], cold);
+  runtime::SubmitOptions approximate;
+  approximate.degraded_mode = runtime::DegradedMode::kApproximate;
+  auto exact_approximate = scheduler.Submit(fx.queries[0], cold, approximate);
   runtime::ApproxAnswer unused;
   auto degradable = scheduler.SubmitDegradable(fx.queries[0], cold);
-  for (int which = 0; which < 2; ++which) {
+  for (int which = 0; which < 3; ++which) {
     try {
       if (which == 0) {
         exact.get();
+      } else if (which == 1) {
+        exact_approximate.get();
       } else {
         unused = degradable.get();
       }
-      FAIL() << "lost partitions must fail the exact path";
+      FAIL() << "lost partitions must fail the exact path (" << which << ")";
     } catch (const QueryFailed& e) {
       EXPECT_EQ(e.status().code(), StatusCode::kUnavailable);
       const std::string& msg = e.status().message();
@@ -666,7 +664,7 @@ TEST(DegradedServing, ExactSubmitFailsFastNamingLostPartitions) {
       EXPECT_NE(msg.find("SubmitDegradable"), std::string::npos) << msg;
     }
   }
-  // No byte moved for either refusal: the guard runs before any load.
+  // No byte moved for any refusal: the guard runs before any load.
   EXPECT_EQ(store->store_stats().cold_loads, 0u);
 
   // A healthy store over the same spill still serves the exact answer.
@@ -702,7 +700,7 @@ TEST(DegradedServing, ApproximateModeReweightsReachableSet) {
     ref.policy = query::ExecPolicy::kScalar;
     ref.num_threads = 1;
     query::ApproxCombined expected = query::CombineWeightedWithError(
-        q, query::EvaluateAllPartitions(q, *fx.pt, ref), sel);
+        q, query::EvaluateAllPartitions(q, *fx.flat, ref), sel);
 
     runtime::QueryScheduler scheduler;
     runtime::ApproxAnswer first;

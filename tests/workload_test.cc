@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "query/evaluator.h"
+#include "storage/partition_source.h"
 #include "workload/datasets.h"
 #include "workload/generator.h"
 #include "workload/tpch_queries.h"
@@ -149,9 +150,10 @@ TEST(QueryGenerator, SomeQueriesHaveNoGroupByOrPredicate) {
 TEST(QueryGenerator, QueriesAreEvaluable) {
   GeneratorFixture f;
   storage::PartitionedTable pt(f.bundle.table, 8);
+  const storage::ResidentShardedSource flat_src(pt);
   auto queries = f.gen.GenerateSet(10, 31);
   for (const auto& q : queries) {
-    auto answers = query::EvaluateAllPartitions(q, pt);
+    auto answers = query::EvaluateAllPartitions(q, flat_src);
     auto exact = query::ExactAnswer(q, answers);
     // Evaluation must not crash; empty results are legal for very
     // selective predicates.
@@ -199,7 +201,8 @@ TEST(TpchQueries, TemplatesAreEvaluable) {
     auto queries = MakeTpchQuerySet(*f.bundle.table, tq, 3, 41);
     for (const auto& q : queries) {
       auto exact =
-          query::ExactAnswer(q, query::EvaluateAllPartitions(q, f.pt));
+          query::ExactAnswer(q, query::EvaluateAllPartitions(
+              q, storage::ResidentShardedSource(f.pt)));
       if (tq == 1) {
         // Q1 groups by returnflag x linestatus: a handful of groups.
         EXPECT_GE(exact.size(), 2u);
@@ -227,7 +230,8 @@ TEST(TpchQueries, Q8UsesCaseRewrite) {
   EXPECT_EQ(q->aggregates[1].filter, nullptr);
   // The filtered volume is a subset of the total volume.
   auto exact = query::ExactAnswer(
-      *q, query::EvaluateAllPartitions(*q, f.pt));
+      *q, query::EvaluateAllPartitions(
+          *q, storage::ResidentShardedSource(f.pt)));
   for (const auto& [key, vals] : exact) {
     EXPECT_LE(vals[0], vals[1] + 1e-9);
   }
@@ -248,7 +252,8 @@ TEST_P(TpchTemplateSweep, InstantiatesAndEvaluatesWithinScope) {
     EXPECT_LT(c, fixture->bundle.table->schema().num_columns());
   }
   auto exact =
-      query::ExactAnswer(q, query::EvaluateAllPartitions(q, fixture->pt));
+      query::ExactAnswer(q, query::EvaluateAllPartitions(
+          q, storage::ResidentShardedSource(fixture->pt)));
   // Group counts stay within the paper's moderate-cardinality scope.
   EXPECT_LE(exact.size(), 1000u) << "Q" << GetParam();
   // Grouped templates must produce at least one group on this data.
