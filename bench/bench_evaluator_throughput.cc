@@ -212,22 +212,27 @@ ClassBenchResult TimeClassed(const std::vector<ps3::query::Query>& queries,
 
 /// Cold source that ignores the evaluator's projection hint and always
 /// rehydrates whole partitions — the "full" baseline the column-pruned
-/// mode is measured against.
+/// mode is measured against. It overrides the ScanControl forms, the
+/// ones the evaluator calls.
 class FullColdSource : public ps3::io::ColdShardedSource {
  public:
   using ColdShardedSource::ColdShardedSource;
 
   ps3::Result<ps3::storage::PinnedPartition> Acquire(
-      size_t global_index,
-      const ps3::storage::ColumnSet& columns) const override {
+      size_t global_index, const ps3::storage::ColumnSet& columns,
+      const ps3::storage::ScanControl& control) const override {
     (void)columns;
-    return store().Fetch(global_index, ps3::storage::ColumnSet::All());
+    return store().Fetch(global_index, ps3::storage::ColumnSet::All(),
+                         control.cancel);
   }
-  void WillScanShard(size_t s,
-                     const ps3::storage::ColumnSet& columns) const override {
+  using ColdShardedSource::Acquire;
+  void WillScanShard(size_t s, const ps3::storage::ColumnSet& columns,
+                     const ps3::storage::ScanControl& control) const override {
     (void)columns;
-    ColdShardedSource::WillScanShard(s, ps3::storage::ColumnSet::All());
+    ColdShardedSource::WillScanShard(s, ps3::storage::ColumnSet::All(),
+                                     control);
   }
+  using ColdShardedSource::WillScanShard;
 };
 
 /// Synthetic wide table for the column-pruning comparison: one
@@ -735,6 +740,16 @@ int main() {
       col_rows.push_back(
           {mode_names[m], secs,
            static_cast<double>(bytes_moved) / wide_rows_total});
+    }
+    // The comparison is meaningless unless the full mode really reads
+    // the unreferenced columns.
+    if (cols_referenced < cols_total &&
+        !(col_rows[1].bytes_per_row > col_rows[0].bytes_per_row)) {
+      std::fprintf(stderr,
+                   "column_results: full mode read %.2f bytes/row, pruned "
+                   "%.2f; full must read more\n",
+                   col_rows[1].bytes_per_row, col_rows[0].bytes_per_row);
+      std::abort();
     }
     for (size_t i = 0; i < col_rows.size(); ++i) {
       const ColRow& r = col_rows[i];

@@ -10,11 +10,12 @@
 //
 // The scan's ColumnSet hint flows straight through: Acquire fetches only
 // the referenced column segments (partial residency upgrades fetch just
-// the missing ones), and when a PrefetchPipeline is attached,
-// WillScanShard(s, cols) stages upcoming shards' hinted segments
-// asynchronously at the pipeline's adaptive stage-ahead distance; with
-// several queries in flight the pipeline's shared read-ahead budget
-// arbitrates between them.
+// the missing ones), and when a PrefetchPipeline is attached, every
+// shard entry hands the scan's plan to the pipeline's IO lanes. A plan
+// of at most a quarter of the cache budget is staged from the entered
+// shard to its end at once; a larger, bulk plan stages only the next
+// shard into free cache space. With several queries in flight, the
+// cache's evictable headroom, split by class, arbitrates between them.
 #ifndef PS3_IO_COLD_SOURCE_H_
 #define PS3_IO_COLD_SOURCE_H_
 
@@ -68,9 +69,10 @@ class ColdShardedSource : public storage::PartitionSource {
   /// Stages read-ahead along an explicit shard plan — this source's own
   /// plan for a full scan, or a filtered one handed down by a
   /// storage::PickedSource view, in which case pruned partitions are
-  /// absent from the plan and never staged. The scan's class decides
-  /// which share of the pipeline's read-ahead budget this staging draws
-  /// from.
+  /// absent from the plan and never staged. The plan's size picks the
+  /// window (PrefetchPipeline::StageAhead); the scan's class decides
+  /// which share of the cache headroom this staging may fill and which
+  /// IO-lane queue serves it.
   void StageHint(const std::vector<std::vector<size_t>>& plan, size_t current,
                  const storage::ColumnSet& columns,
                  const storage::ScanControl& control) const override {

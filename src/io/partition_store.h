@@ -299,17 +299,24 @@ class PartitionStore {
   /// uncounted. This is what Fetch and Preload call.
   Result<LoadedColumns> LoadColumns(size_t i, const std::vector<size_t>& cols,
                                     const CancelToken* cancel = nullptr);
+  /// Consumes one fault attempt per column of `cols` (in order) and
+  /// returns the decisions; empty when the store injects no faults.
+  std::vector<FaultDecision> DrawFaults(size_t i,
+                                        const std::vector<size_t>& cols);
   /// One physical read pass: simulated latency/bandwidth sleep (sliced,
-  /// polling both tokens), injected faults applied, then the seek-read-
-  /// verify-decode of io/partition_file. `hedge_stop` (nullable) is the
+  /// polling both tokens), the pass's drawn fault `decisions` applied
+  /// (one per column of `cols`, or empty), then the seek-read-verify-
+  /// decode of io/partition_file. `hedge_stop` (nullable) is the
   /// racer-local token a winning hedge uses to abort the loser.
-  Result<LoadedColumns> LoadColumnsOnce(size_t i,
-                                        const std::vector<size_t>& cols,
-                                        const CancelToken* cancel,
-                                        const CancelToken* hedge_stop);
+  Result<LoadedColumns> LoadColumnsOnce(
+      size_t i, const std::vector<size_t>& cols,
+      const std::vector<FaultDecision>& decisions, const CancelToken* cancel,
+      const CancelToken* hedge_stop);
   /// One *attempt* of the resilient loop: plain pass, or a hedged race
   /// (second read fired after HedgeDelayUs; first success cancels the
-  /// loser) when hedging is on and a latency estimate exists.
+  /// loser) when hedging is on and a latency estimate exists. Both
+  /// racers' fault attempts are drawn on the calling thread, the
+  /// primary's before launch and the hedge's when the delay expires.
   Result<LoadedColumns> LoadPass(size_t i, const std::vector<size_t>& cols,
                                  const CancelToken* cancel);
   /// Folds a successful pass latency into the EWMA cells.

@@ -3,264 +3,176 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/math_util.h"
-#include "runtime/worker_pool.h"
-
 namespace ps3::io {
-
-PrefetchPipeline::PrefetchPipeline(PartitionStore* store,
-                                   runtime::QueryScheduler* scheduler)
-    : PrefetchPipeline(store, scheduler, Options()) {}
 
 namespace {
 
-size_t BatchCapBytes(const PrefetchPipeline::Options& options) {
-  const double f =
-      std::min(1.0, std::max(0.0, options.interactive_reserve_fraction));
-  return static_cast<size_t>(
-      static_cast<double>(options.readahead_bytes) * (1.0 - f));
+/// True iff the decoded footprint of `columns` over every partition of
+/// `plan` exceeds `limit` bytes. Manifest sizes only, so the verdict
+/// never depends on what is cached; stops counting once over.
+bool PlanExceeds(const PartitionStore& store,
+                 const std::vector<std::vector<size_t>>& plan,
+                 const std::vector<size_t>& columns, size_t limit) {
+  size_t total = 0;
+  for (const std::vector<size_t>& shard : plan) {
+    for (size_t p : shard) {
+      total += store.columns_bytes(p, columns);
+      if (total > limit) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
 
 PrefetchPipeline::PrefetchPipeline(PartitionStore* store,
+                                   runtime::QueryScheduler* scheduler)
+    : PrefetchPipeline(store, scheduler, Options()) {}
+
+PrefetchPipeline::PrefetchPipeline(PartitionStore* store,
                                    runtime::QueryScheduler* scheduler,
                                    Options options)
     : store_(store),
-      scheduler_(scheduler),
-      options_(options),
-      batch_cap_bytes_(BatchCapBytes(options)) {}
-
-PrefetchPipeline::~PrefetchPipeline() { Drain(); }
-
-void PrefetchPipeline::UpdateEwma(std::atomic<uint64_t>* cell,
-                                  uint64_t sample_us) {
-  // 0 means "no sample yet" in the cells, so a sub-microsecond sample
-  // (back-to-back shard entries on a hot scan) clamps to 1us — exactly
-  // the regime where the distance must be able to widen, which a
-  // never-seeded scan EWMA would keep pinned at 1. Integer rounding
-  // floors the decayed EWMA a few microseconds above tiny samples —
-  // negligible at the millisecond scales being paced.
-  cell->store(LatencyEwmaStep(cell->load(std::memory_order_relaxed), sample_us),
-              std::memory_order_relaxed);
+      batch_share_(1.0 - std::clamp(options.interactive_reserve_fraction,
+                                    0.0, 1.0)) {
+  (void)scheduler;
+  const int lanes = std::max(1, options.load_lanes);
+  try {
+    lanes_.reserve(static_cast<size_t>(lanes));
+    for (int i = 0; i < lanes; ++i) {
+      lanes_.emplace_back([this] { LaneLoop(); });
+    }
+  } catch (...) {
+    // No destructor runs for a half-built object: join the lanes already
+    // started, or destroying them joinable would terminate the process.
+    Stop();
+    throw;
+  }
 }
 
-size_t PrefetchPipeline::AheadDistance() const {
-  const uint64_t scan = scan_ewma_us_.load(std::memory_order_relaxed);
-  const uint64_t load = load_ewma_us_.load(std::memory_order_relaxed);
-  // Until both latencies have samples, stay at the conservative fixed
-  // next-shard lookahead.
-  if (scan == 0 || load == 0) return 1;
-  // Loads lagging scans by a factor k need ~k shards in flight to keep
-  // the scan fed; ceil so a 1.2x lag still widens to 2.
-  const uint64_t want = (load + scan - 1) / scan;
-  return std::max<size_t>(
-      1, std::min<size_t>(options_.max_ahead_shards,
-                          static_cast<size_t>(want)));
-}
+PrefetchPipeline::~PrefetchPipeline() { Stop(); }
 
-bool PrefetchPipeline::TryReserve(size_t bytes, QueryClass query_class) {
-  std::lock_guard<std::mutex> lock(budget_mu_);
-  // The total pool bounds everyone; batch additionally stops at its
-  // share, leaving the reserve to interactive staging (which may also
-  // soak up whatever batch left idle).
-  if (inflight_batch_ + inflight_interactive_ + bytes >
-      options_.readahead_bytes) {
-    return false;
+void PrefetchPipeline::Stop() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-  if (query_class == QueryClass::kBatch) {
-    if (inflight_batch_ + bytes > batch_cap_bytes_) return false;
-    inflight_batch_ += bytes;
-  } else {
-    inflight_interactive_ += bytes;
-  }
-  return true;
-}
-
-void PrefetchPipeline::Release(size_t bytes, QueryClass query_class) {
-  std::lock_guard<std::mutex> lock(budget_mu_);
-  if (query_class == QueryClass::kBatch) {
-    inflight_batch_ -= bytes;
-  } else {
-    inflight_interactive_ -= bytes;
-  }
+  work_cv_.notify_all();
+  for (std::thread& lane : lanes_) lane.join();
 }
 
 void PrefetchPipeline::StageAhead(
     const std::vector<std::vector<size_t>>& shards, size_t current,
     const storage::ColumnSet& columns, QueryClass query_class) {
-  {
-    std::lock_guard<std::mutex> lock(pace_mu_);
-    const Clock::time_point now = Clock::now();
-    if (has_last_stage_) {
-      const uint64_t interval_us =
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  now - last_stage_)
-                  .count());
-      // Concurrent scans sharing one pipeline shorten the apparent
-      // interval, which only widens the distance — and the byte budget
-      // still bounds the total, so the bias is safe.
-      UpdateEwma(&scan_ewma_us_, interval_us);
-    }
-    last_stage_ = now;
-    has_last_stage_ = true;
-  }
-  const size_t ahead = AheadDistance();
+  if (current >= shards.size()) return;
+  const std::vector<size_t> hinted =
+      columns.Resolve(store_->schema().num_columns());
   std::vector<size_t> parts;
-  for (size_t d = 1; d <= ahead && current + d < shards.size(); ++d) {
-    const std::vector<size_t>& shard = shards[current + d];
-    parts.insert(parts.end(), shard.begin(), shard.end());
+  if (PlanExceeds(*store_, shards, hinted,
+                  store_->cache().budget_bytes() / 4)) {
+    if (current + 1 < shards.size()) parts = shards[current + 1];
+    Admit(parts, hinted, query_class, Room::kFree);
+    return;
   }
-  if (!parts.empty()) Stage(std::move(parts), columns, query_class);
+  for (size_t s = current; s < shards.size(); ++s) {
+    parts.insert(parts.end(), shards[s].begin(), shards[s].end());
+  }
+  Admit(parts, hinted, query_class, Room::kEvictable);
 }
 
 void PrefetchPipeline::Stage(std::vector<size_t> parts,
                              const storage::ColumnSet& columns,
                              QueryClass query_class) {
-  // Budget admission up front, so the shared pool is charged before the
-  // task is queued (otherwise N queries could all stage "within budget"
-  // simultaneously). Admission is column-granular: only a partition's
-  // *missing hinted segments* charge the pool.
-  struct Load {
-    size_t part;
-    size_t bytes;  ///< *encoded* bytes reserved against the read-ahead pool
-    /// Exactly the segments whose bytes were reserved: the task preloads
-    /// these, not the whole hint — re-deriving the missing set at load
-    /// time could pull in segments evicted since admission and overrun
-    /// the budget the reservation accounted for.
-    std::vector<size_t> cols;
-  };
-  std::vector<Load> to_load;
-  to_load.reserve(parts.size());
-  // Two admission tests in two different units, because compression
-  // split them: the shared read-ahead pool meters *encoded* bytes (what
-  // the disk/link actually moves — the thing read-ahead IO pressure is
-  // made of), while the cache-retention bound meters *decoded* bytes
-  // (what a staged segment occupies once it lands — staging past the
-  // cache budget just evicts read-ahead before the scan reaches it).
-  // Charging the cache bound at encoded size would let compressed
-  // segments overcommit the cache by their compression ratio. Headroom
-  // is sampled once per Stage call; advisory, like everything here.
-  const size_t cache_budget = store_->cache().budget_bytes();
-  const size_t cached = store_->cache().bytes_cached();
-  const size_t headroom = cache_budget > cached ? cache_budget - cached : 0;
-  size_t decoded_admitted = 0;
-  const std::vector<size_t> hinted =
-      columns.Resolve(store_->schema().num_columns());
-  for (size_t p : parts) {
-    // Segments cached *or already mid-load* are someone else's bytes:
-    // with a widened stage-ahead distance, successive overlapping
-    // windows would otherwise re-reserve budget for the same in-flight
-    // segments and starve genuinely new shards into skipped_budget.
-    std::vector<size_t> missing = store_->UnstagedColumns(p, hinted);
-    if (missing.empty()) {
-      skipped_cached_.fetch_add(1, std::memory_order_relaxed);
-      continue;
+  Admit(parts, columns.Resolve(store_->schema().num_columns()), query_class,
+        Room::kEvictable);
+}
+
+void PrefetchPipeline::Admit(const std::vector<size_t>& parts,
+                             const std::vector<size_t>& hinted,
+                             QueryClass query_class, Room room) {
+  if (parts.empty()) return;
+  const PartitionCache& cache = store_->cache();
+  const size_t budget = cache.budget_bytes();
+  const bool batch = query_class == QueryClass::kBatch;
+  bool queued = false;
+  {
+    // mu_ is held across the store's cached/loading lookups (lanes never
+    // hold it while loading, so the order is always mu_ then the
+    // store's): a lane cannot land and dequeue a segment between the
+    // two checks, so nothing is admitted twice.
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t used = room == Room::kFree ? cache.bytes_cached()
+                                            : cache.stats().bytes_pinned;
+    const size_t headroom = budget > used ? budget - used : 0;
+    const size_t batch_headroom =
+        static_cast<size_t>(static_cast<double>(headroom) * batch_share_);
+    for (size_t p : parts) {
+      std::vector<size_t> cols = store_->UnstagedColumns(p, hinted);
+      cols.erase(std::remove_if(cols.begin(), cols.end(),
+                                [&](size_t c) {
+                                  return queued_.count(ColumnKey{p, c}) != 0;
+                                }),
+                 cols.end());
+      if (cols.empty()) {
+        skipped_cached_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      const size_t bytes = store_->columns_bytes(p, cols);
+      if (inflight_batch_ + inflight_interactive_ + bytes > headroom ||
+          (batch && inflight_batch_ + bytes > batch_headroom)) {
+        skipped_budget_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      (batch ? inflight_batch_ : inflight_interactive_) += bytes;
+      for (size_t c : cols) queued_.insert(ColumnKey{p, c});
+      (batch ? batch_ : interactive_)
+          .push_back(Load{p, std::move(cols), bytes, query_class});
+      staged_.fetch_add(1, std::memory_order_relaxed);
+      queued = true;
     }
-    const size_t decoded = store_->columns_bytes(p, missing);
-    if (decoded_admitted + decoded > headroom) {
-      skipped_budget_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const size_t bytes = store_->encoded_columns_bytes(p, missing);
-    if (!TryReserve(bytes, query_class)) {
-      skipped_budget_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    decoded_admitted += decoded;
-    to_load.push_back(Load{p, bytes, std::move(missing)});
   }
-  if (to_load.empty()) return;
-  staged_.fetch_add(to_load.size(), std::memory_order_relaxed);
+  if (queued) work_cv_.notify_all();
+}
 
-  // Total reservation for this batch, released in one piece when the
-  // whole pass lands (success, load error, or failed dispatch alike).
-  // Per-load release would return budget marginally sooner, but a single
-  // batch-scoped release makes "no reservation can outlive its task"
-  // auditable on every path — the leak class the budget tests pin.
-  size_t reserved_bytes = 0;
-  for (const Load& l : to_load) reserved_bytes += l.bytes;
-
-  // One scheduler task per staged batch; the task fans the loads out
-  // across worker-pool lanes, releases the budget when the pass lands,
-  // and feeds the load-latency EWMA that drives the adaptive distance.
-  auto task = [this, loads = std::move(to_load), reserved_bytes,
-               query_class] {
-    PartitionStore* store = store_;
-    const Clock::time_point start = Clock::now();
+void PrefetchPipeline::LaneLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [this] {
+      return stop_ || !interactive_.empty() || !batch_.empty();
+    });
+    if (stop_) return;
+    std::deque<Load>& q = interactive_.empty() ? batch_ : interactive_;
+    const Load load = std::move(q.front());
+    q.pop_front();
+    ++busy_lanes_;
+    lock.unlock();
+    // Prefetch is advisory, so nothing may escape a lane: a thrown load
+    // (bad_alloc during rehydration) counts as an error like a failed one.
+    bool ok = false;
     try {
-      scheduler_->pool().ParallelFor(
-          loads.size(),
-          [this, store, &loads](size_t k) {
-            const Load& load = loads[k];
-            // Prefetch is advisory, so nothing may escape: a thrown load
-            // (bad_alloc during rehydration) would fail the whole pool
-            // job and drain sibling items without running them.
-            try {
-              Status s = store->Preload(
-                  load.part, storage::ColumnSet::Of(load.cols));
-              if (!s.ok()) {
-                load_errors_.fetch_add(1, std::memory_order_relaxed);
-              }
-            } catch (...) {
-              load_errors_.fetch_add(1, std::memory_order_relaxed);
-            }
-          },
-          options_.load_lanes);
+      ok = store_->Preload(load.part, storage::ColumnSet::Of(load.cols)).ok();
     } catch (...) {
-      // ParallelFor itself failing (job allocation) is still advisory —
-      // the demand path loads what staging didn't — but the reservation
-      // must not leak with it.
-      load_errors_.fetch_add(1, std::memory_order_relaxed);
     }
-    Release(reserved_bytes, query_class);
-    // The sample is the *whole pass's* wall time, deliberately not
-    // divided by the number of shards it spanned: loads fan out across
-    // the pool lanes, so a batch lands in ~one store RTT when it fits
-    // the lanes — the pass time measures how long a prefetch batch takes
-    // to arrive, which against the per-shard scan interval is exactly
-    // the pipeline depth (shards in flight) needed to keep the scan fed.
-    // Lane-saturated batches take proportionally longer and ask for
-    // deeper read-ahead; max_ahead_shards and the cache-headroom bound
-    // cap what that can cost.
-    UpdateEwma(&load_ewma_us_,
-               static_cast<uint64_t>(
-                   std::chrono::duration_cast<std::chrono::microseconds>(
-                       Clock::now() - start)
-                       .count()));
-  };
-  std::future<void> fut;
-  try {
-    fut = scheduler_->Defer(std::move(task));
-  } catch (...) {
-    // Dispatch failed (allocation): the task will never run, so return
-    // its reservation here — otherwise the bytes leak from the pool
-    // forever. Advisory, like every staging failure.
-    Release(reserved_bytes, query_class);
-    load_errors_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  // Prune finished futures so a long query stream doesn't accumulate one
-  // handle per staged shard forever.
-  size_t live = 0;
-  for (auto& f : inflight_) {
-    if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-      inflight_[live++] = std::move(f);
+    lock.lock();
+    if (!ok) load_errors_.fetch_add(1, std::memory_order_relaxed);
+    (load.query_class == QueryClass::kBatch ? inflight_batch_
+                                            : inflight_interactive_) -=
+        load.bytes;
+    // Dequeued only once landed: until then the store's loading marks and
+    // this set overlap, so no window re-admits the segment.
+    for (size_t c : load.cols) queued_.erase(ColumnKey{load.part, c});
+    --busy_lanes_;
+    if (busy_lanes_ == 0 && interactive_.empty() && batch_.empty()) {
+      idle_cv_.notify_all();
     }
   }
-  inflight_.resize(live);
-  inflight_.push_back(std::move(fut));
 }
 
 void PrefetchPipeline::Drain() {
-  std::vector<std::future<void>> pending;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending.swap(inflight_);
-  }
-  for (auto& f : pending) f.wait();
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] {
+    return busy_lanes_ == 0 && interactive_.empty() && batch_.empty();
+  });
 }
 
 PrefetchPipeline::PrefetchStats PrefetchPipeline::stats() const {
@@ -269,9 +181,8 @@ PrefetchPipeline::PrefetchStats PrefetchPipeline::stats() const {
   s.skipped_cached = skipped_cached_.load(std::memory_order_relaxed);
   s.skipped_budget = skipped_budget_.load(std::memory_order_relaxed);
   s.load_errors = load_errors_.load(std::memory_order_relaxed);
-  s.ahead_shards = AheadDistance();
   {
-    std::lock_guard<std::mutex> lock(budget_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     s.inflight_batch_bytes = inflight_batch_;
     s.inflight_interactive_bytes = inflight_interactive_;
   }

@@ -1,61 +1,59 @@
-// Asynchronous shard-granular read-ahead for cold scans, with adaptive
-// stage-ahead pacing and column-pruned staging.
+// Plan read-ahead for cold scans on dedicated IO lanes, with column-
+// pruned staging.
 //
-// While the evaluator scans shard s of a spilled table, the pipeline
-// stages upcoming shards' *hinted column segments* into the store's
-// cache: StageAhead() admits one staging task through the
-// runtime::QueryScheduler (so prefetch IO interleaves with query work
-// instead of preempting it), and that task fans the individual segment
-// loads out across runtime::WorkerPool lanes. Loads sleep through the
-// store's simulated remote latency on pool/driver threads, overlapping
-// the wait with the current shard's compute — which is the entire point
-// of prefetching.
+// A picked query fixes every partition it will read before any byte
+// moves, so on a remote store the whole plan can be fetched at once
+// instead of a few partitions per scan lane. The pipeline owns
+// Options::load_lanes threads that do nothing but run staged loads
+// (PartitionStore::Preload of the *hinted column segments*), fed by two
+// FIFO queues: interactive loads are served before batch ones. Loads
+// sleep through the store's simulated round trip on those lanes, so read
+// IO concurrency depends neither on the scan's CPU lanes nor on the
+// scheduler's drivers (which are the query admission slots). Stage() and
+// StageAhead() only admit loads and enqueue them; they never wait.
 //
-// Pacing is adaptive: the pipeline keeps an EWMA of the per-shard scan
-// interval (time between successive shard entries) and of the staging
-// latency (how long a prefetch batch takes to land — loads fan out
-// across pool lanes, so this is ~one store RTT while batches fit the
-// lanes). Their ratio is the pipeline depth: when batches land slower
-// than shards are consumed — the prefetcher is losing the race — the
-// stage-ahead distance widens from 1 toward max_ahead_shards so more
-// shards load concurrently; when scans are the bottleneck it narrows
-// back to 1. The
-// distance is always additionally bounded by the shared read-ahead byte
-// budget and the cache's retention headroom, so adaptivity can never
-// stage more than the cache could keep. Pacing is advisory and affects
-// timing only, never answers.
+// Admission charges decoded bytes against the store's cache budget.
+// Unpinned LRU entries are evictable, so they do not count: the charge is
+// the cache's pinned bytes plus decoded bytes admitted but not yet
+// landed. Batch staging may use only (1 - interactive_reserve_fraction)
+// of that headroom, so batch read-ahead cannot take the room an
+// interactive plan needs. A segment already cached, mid-load, or queued
+// here is never admitted twice.
 //
-// The read-ahead budget is byte-accounted at *column-segment*
-// granularity and *shared*: every query prefetching through one pipeline
-// draws from the same in-flight byte pool, so N concurrent cold queries
-// can't multiply read-ahead memory by N. The pool is split by admission
-// class: batch staging stops at (1 - interactive_reserve_fraction) of
-// the budget while interactive staging may use all of it, so any amount
-// of batch read-ahead leaves the reserved share of IO available to
-// interactive cold loads — batch prefetch cannot starve the latency
-// class. Since segments spill compressed,
-// admission runs in two units: the shared pool meters *encoded* bytes
-// (disk/link traffic), the cache-headroom bound meters *decoded* bytes
-// (resident footprint once a staged segment lands). Segments that don't
-// fit either budget are skipped, not queued — they'll be demand-loaded by
-// the scan; prefetch is advisory and never affects answers, only timing.
-// Staging errors are likewise swallowed (counted in stats): the demand
-// path surfaces real errors.
+// StageAhead windows by plan size. A plan's decoded footprint — every
+// hinted column of every plan partition, read from the manifest, so it
+// never depends on cache state — of at most a quarter of the cache
+// budget is staged from the entered shard to the plan's end at each
+// shard entry (a shard's hint fires before its first Acquire, so this
+// never re-stages what the scan already consumed). A larger plan is a
+// bulk scan: it stages only the next shard, and only into free space
+// (budget - bytes cached - bytes admitted), so a full scan cannot flush
+// the working set — the same quarter-of-the-cache cutoff PostgreSQL uses
+// to put a sequential scan on a bulk-read ring.
 //
-// Lifetime: borrows the store and scheduler; destroy the pipeline before
-// either. The destructor drains in-flight staging tasks.
+// Prefetch is advisory and never affects answers, only timing: segments
+// that don't fit are skipped, not queued — the scan demand-loads them —
+// and staging errors are swallowed (counted in stats); the demand path
+// surfaces real errors.
+//
+// Lifetime: borrows the store; destroy the pipeline before it. The
+// destructor drops queued loads and joins the lanes once their current
+// load lands.
 #ifndef PS3_IO_PREFETCH_PIPELINE_H_
 #define PS3_IO_PREFETCH_PIPELINE_H_
 
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <future>
+#include <deque>
 #include <mutex>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/query_control.h"
+#include "io/partition_cache.h"
 #include "io/partition_store.h"
 #include "runtime/query_scheduler.h"
 #include "storage/column_set.h"
@@ -65,32 +63,23 @@ namespace ps3::io {
 class PrefetchPipeline {
  public:
   struct Options {
-    /// Cap on *encoded* (on-disk) bytes staged-but-not-yet-inserted
-    /// across *all* queries sharing this pipeline — the read-ahead IO
-    /// pool meters what the disk/link actually moves. The decoded
-    /// footprint of staged segments is bounded separately by the
-    /// store's cache headroom.
-    size_t readahead_bytes = size_t{64} << 20;
-    /// Share of `readahead_bytes` reserved for interactive-class
-    /// read-ahead: batch staging stops admitting once batch in-flight
-    /// bytes reach (1 - fraction) * budget, while interactive staging may
-    /// draw on the whole pool (including whatever the batch share left
-    /// idle). This is the multi-tenant isolation knob — any number of
-    /// batch scans sharing the pipeline leave this fraction of read-ahead
-    /// IO available to interactive cold loads. 0 restores the single
-    /// shared pool. Clamped to [0, 1].
-    double interactive_reserve_fraction = 0.25;
-    /// Worker-pool lanes a staging task may fan its loads across. Loads
-    /// are latency-bound (they sleep through the simulated store RTT), so
-    /// oversubscribing lanes is cheap and hides more of the wait.
+    /// IO lanes: threads owned by the pipeline that run staged loads.
+    /// Loads are latency-bound (they sleep through the store's round
+    /// trip), so many more lanes than cores is cheap; the lane count also
+    /// bounds the bytes in flight on the link. Values < 1 mean 1.
     int load_lanes = 16;
-    /// Upper bound on the adaptive stage-ahead distance (shards staged
-    /// beyond the one being scanned). 1 reproduces the fixed next-shard
-    /// lookahead.
-    size_t max_ahead_shards = 4;
+    /// Share of the evictable headroom kept for interactive staging:
+    /// batch staging stops once admitted bytes reach (1 - fraction) of
+    /// it, while interactive staging may use all of it. This is the
+    /// multi-tenant isolation knob — any number of batch scans leave this
+    /// share of read-ahead room to interactive plans. 0 shares the whole
+    /// headroom. Clamped to [0, 1].
+    double interactive_reserve_fraction = 0.25;
   };
 
-  /// Default options.
+  /// Default options. `scheduler` is unused — staging runs on the
+  /// pipeline's own IO lanes, never on a driver or a pool lane — and
+  /// stays in the signature so existing callers keep compiling.
   PrefetchPipeline(PartitionStore* store, runtime::QueryScheduler* scheduler);
   PrefetchPipeline(PartitionStore* store, runtime::QueryScheduler* scheduler,
                    Options options);
@@ -99,37 +88,35 @@ class PrefetchPipeline {
   PrefetchPipeline(const PrefetchPipeline&) = delete;
   PrefetchPipeline& operator=(const PrefetchPipeline&) = delete;
 
-  /// Scan-entry hook (ColdShardedSource::WillScanShard): updates the
-  /// scan-pace EWMA and stages the hinted columns of the next
-  /// [1, max_ahead_shards] shards after `current`, as the current
-  /// load-vs-scan latency ratio warrants, bounded by `query_class`'s
-  /// share of the read-ahead budget. Non-blocking; safe to call from
-  /// pool lanes mid-scan.
+  /// Scan-entry hook (PartitionSource::StageHint): the scan has entered
+  /// `shards[current]` and will read only `columns`. A plan whose decoded
+  /// footprint is at most a quarter of the cache budget stages shards
+  /// [current, end) into the evictable headroom; a larger (bulk) plan
+  /// stages shard current + 1 into free space only. Non-blocking; safe to
+  /// call from pool lanes mid-scan.
   void StageAhead(const std::vector<std::vector<size_t>>& shards,
                   size_t current, const storage::ColumnSet& columns,
                   QueryClass query_class = QueryClass::kBatch);
 
-  /// Stages the given partitions' hinted columns into the store's cache
-  /// asynchronously, bounded by `query_class`'s share of the read-ahead
-  /// budget. Non-blocking; safe to call from pool lanes mid-scan.
+  /// Admits the given partitions' hinted columns against the evictable
+  /// headroom (bounded by `query_class`'s share) and queues them for the
+  /// IO lanes. Non-blocking; safe to call from pool lanes mid-scan.
   void Stage(std::vector<size_t> parts,
              const storage::ColumnSet& columns = storage::ColumnSet::All(),
              QueryClass query_class = QueryClass::kBatch);
 
-  /// Waits for every in-flight staging task.
+  /// Waits until every queued load has landed (or failed).
   void Drain();
 
   struct PrefetchStats {
-    uint64_t staged = 0;          ///< partitions handed to a staging task
-    uint64_t skipped_cached = 0;  ///< already cached (or loading)
-    uint64_t skipped_budget = 0;  ///< didn't fit the read-ahead budget
+    uint64_t staged = 0;          ///< partitions queued for an IO lane
+    uint64_t skipped_cached = 0;  ///< already cached, loading, or queued
+    uint64_t skipped_budget = 0;  ///< didn't fit the admission headroom
     uint64_t load_errors = 0;     ///< advisory failures (demand path retries)
-    size_t ahead_shards = 1;      ///< current adaptive stage-ahead distance
-    /// Encoded bytes currently reserved against the read-ahead pool, per
-    /// class and total. Every reservation is released when its staging
-    /// task finishes (success, load error, or a failed dispatch alike),
-    /// so with no staging in flight these are exactly 0 — the invariant
-    /// the budget-leak tests pin.
+    /// Decoded bytes admitted but not yet landed, per class and total.
+    /// Every reservation is released when its load finishes (success or
+    /// error alike), so with nothing queued or loading these are exactly
+    /// 0 — the invariant the budget-leak tests pin.
     size_t inflight_batch_bytes = 0;
     size_t inflight_interactive_bytes = 0;
     size_t inflight_bytes = 0;
@@ -137,49 +124,52 @@ class PrefetchPipeline {
   PrefetchStats stats() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
+  /// Which cache room admission may fill.
+  enum class Room {
+    kEvictable,  ///< budget - pinned bytes: unpinned entries may go
+    kFree,       ///< budget - cached bytes: nothing gets evicted
+  };
+  /// One queued load: exactly the segments whose decoded bytes were
+  /// reserved, so a lane never loads more than admission accounted for.
+  struct Load {
+    size_t part;
+    std::vector<size_t> cols;
+    size_t bytes;
+    QueryClass query_class;
+  };
 
-  /// Current stage-ahead distance from the latency EWMAs.
-  size_t AheadDistance() const;
-  /// Folds a sample into an EWMA cell via LatencyEwmaStep (microseconds,
-  /// relaxed atomics — pacing is advisory, approximate reads are fine).
-  static void UpdateEwma(std::atomic<uint64_t>* cell, uint64_t sample_us);
-
-  /// Tries to reserve `bytes` of read-ahead budget for `query_class`:
-  /// the total pool bounds both classes, and batch additionally stops at
-  /// its (1 - interactive_reserve_fraction) share. Admission and release
-  /// share one small mutex — staging runs per partition batch, far off
-  /// the per-chunk hot path.
-  bool TryReserve(size_t bytes, QueryClass query_class);
-  void Release(size_t bytes, QueryClass query_class);
+  /// Admits and queues the missing hinted segments of `parts`.
+  void Admit(const std::vector<size_t>& parts,
+             const std::vector<size_t>& hinted, QueryClass query_class,
+             Room room);
+  /// An IO lane: pops loads (interactive first) until shutdown.
+  void LaneLoop();
+  /// Joins every lane once its current load lands; queued loads never
+  /// run.
+  void Stop();
 
   PartitionStore* store_;
-  runtime::QueryScheduler* scheduler_;
-  const Options options_;
-  /// Batch admission ceiling: (1 - interactive_reserve_fraction) *
-  /// readahead_bytes, precomputed.
-  const size_t batch_cap_bytes_;
+  /// Batch's share of the headroom: 1 - interactive_reserve_fraction.
+  const double batch_share_;
 
-  mutable std::mutex budget_mu_;
-  size_t inflight_batch_ = 0;        ///< guarded by budget_mu_
-  size_t inflight_interactive_ = 0;  ///< guarded by budget_mu_
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;  ///< lanes wait for loads
+  std::condition_variable idle_cv_;  ///< Drain waits for quiescence
+  std::deque<Load> interactive_;     ///< guarded by mu_
+  std::deque<Load> batch_;           ///< guarded by mu_
+  /// Segments queued or loading on a lane. Guarded by mu_.
+  std::unordered_set<ColumnKey, ColumnKeyHash> queued_;
+  size_t busy_lanes_ = 0;            ///< guarded by mu_
+  size_t inflight_batch_ = 0;        ///< guarded by mu_
+  size_t inflight_interactive_ = 0;  ///< guarded by mu_
+  bool stop_ = false;                ///< guarded by mu_
+
   std::atomic<uint64_t> staged_{0};
   std::atomic<uint64_t> skipped_cached_{0};
   std::atomic<uint64_t> skipped_budget_{0};
   std::atomic<uint64_t> load_errors_{0};
 
-  /// EWMAs (us). scan_ewma_us_ tracks the interval between successive
-  /// StageAhead calls (≈ one shard's scan time); load_ewma_us_ tracks
-  /// how long a staging batch takes to land. 0 = no sample yet
-  /// (samples clamp to >= 1).
-  std::atomic<uint64_t> scan_ewma_us_{0};
-  std::atomic<uint64_t> load_ewma_us_{0};
-  std::mutex pace_mu_;
-  Clock::time_point last_stage_;  ///< guarded by pace_mu_
-  bool has_last_stage_ = false;   ///< guarded by pace_mu_
-
-  std::mutex mu_;
-  std::vector<std::future<void>> inflight_;  ///< guarded by mu_
+  std::vector<std::thread> lanes_;
 };
 
 }  // namespace ps3::io

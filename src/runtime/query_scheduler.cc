@@ -169,8 +169,7 @@ void QueryScheduler::DriverMain() {
       // Drain-on-destruction: exit only once both queues are empty, so
       // every admitted future becomes ready.
       // Interactive first: a latency-class query never waits behind the
-      // batch backlog (or behind staged prefetch tasks, which enqueue as
-      // batch) for a driver.
+      // batch backlog for a driver.
       std::deque<std::function<void()>>& q =
           !queues_[1].empty() ? queues_[1] : queues_[0];
       if (q.empty()) return;

@@ -231,8 +231,8 @@ class QueryScheduler {
   /// future with its result (or exception). Parallel passes inside `fn`
   /// (stats builds, featurization, labeling scans) are admitted to the
   /// pool as that task's own jobs, concurrent with other tasks'.
-  /// Interactive-class tasks are dequeued ahead of batch tasks (and of
-  /// staged prefetch work, which defers as batch); within a class, FIFO.
+  /// Interactive-class tasks are dequeued ahead of batch tasks; within a
+  /// class, FIFO.
   template <typename F>
   auto Defer(F fn, QueryClass query_class = QueryClass::kBatch)
       -> std::future<std::invoke_result_t<F>> {

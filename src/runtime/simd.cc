@@ -64,6 +64,20 @@ __attribute__((target("avx2"))) void DenseGroupIdsAvx2(
   }
 }
 
+namespace {
+
+/// values[ridx[k]] for 4 lanes. The unmasked _mm256_i32gather_pd merges
+/// into _mm256_undefined_pd(), which GCC 12 flags under
+/// -Wmaybe-uninitialized; an all-ones mask over a zero source compiles to
+/// the same vgatherdpd with every input defined.
+__attribute__((target("avx2"))) inline __m256d GatherPd(const double* values,
+                                                        __m128i ridx) {
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), values, ridx, all, 8);
+}
+
+}  // namespace
+
 __attribute__((target("avx2"))) void GatherDoublesAvx2(const double* values,
                                                        const uint32_t* rows,
                                                        size_t n,
@@ -72,7 +86,7 @@ __attribute__((target("avx2"))) void GatherDoublesAvx2(const double* values,
   for (; k + 4 <= n; k += 4) {
     const __m128i ridx = _mm_loadu_si128(
         reinterpret_cast<const __m128i*>(rows + k));
-    const __m256d v = _mm256_i32gather_pd(values, ridx, 8);
+    const __m256d v = GatherPd(values, ridx);
     _mm256_storeu_pd(out + k, v);
   }
   for (; k < n; ++k) out[k] = values[rows[k]];
@@ -88,7 +102,7 @@ __attribute__((target("avx2"))) double MinGatherAvx2(const double* values,
     for (; k + 4 <= n; k += 4) {
       const __m128i ridx = _mm_loadu_si128(
           reinterpret_cast<const __m128i*>(rows + k));
-      acc = _mm256_min_pd(acc, _mm256_i32gather_pd(values, ridx, 8));
+      acc = _mm256_min_pd(acc, GatherPd(values, ridx));
     }
     const __m128d lo = _mm256_castpd256_pd128(acc);
     const __m128d hi = _mm256_extractf128_pd(acc, 1);
@@ -113,7 +127,7 @@ __attribute__((target("avx2"))) double MaxGatherAvx2(const double* values,
     for (; k + 4 <= n; k += 4) {
       const __m128i ridx = _mm_loadu_si128(
           reinterpret_cast<const __m128i*>(rows + k));
-      acc = _mm256_max_pd(acc, _mm256_i32gather_pd(values, ridx, 8));
+      acc = _mm256_max_pd(acc, GatherPd(values, ridx));
     }
     const __m128d lo = _mm256_castpd256_pd128(acc);
     const __m128d hi = _mm256_extractf128_pd(acc, 1);

@@ -99,11 +99,12 @@ class PartitionSource {
   }
 
   /// Advisory: the scan cursor has entered shard `s` (fired once per
-  /// shard per scan, from whichever lane gets there first), and will read
-  /// only `columns`. Out-of-core sources use it to stage upcoming shards'
-  /// column segments ahead of the scan, charging the read-ahead to the
-  /// control's class share of the prefetch byte budget (batch staging may
-  /// not starve interactive cold loads). It must not affect results, only
+  /// shard per scan, from whichever lane gets there first, before that
+  /// shard's first Acquire), and will read only `columns`. Out-of-core
+  /// sources use it to stage the plan's column segments ahead of the
+  /// scan on their own IO lanes, charging the read-ahead to the
+  /// control's class share of the cache headroom (batch staging may not
+  /// starve interactive cold loads). It must not affect results, only
   /// timing. Default no-op.
   virtual void WillScanShard(size_t s, const ColumnSet& columns,
                              const ScanControl& control) const {
@@ -123,9 +124,12 @@ class PartitionSource {
   /// entered plan[current] and will touch only `columns` of the plan's
   /// partitions. This is how a filtered view of this source (a picked
   /// subset, see PickedSource) routes its prefetch hints, class and token
-  /// included: the base source stages upcoming shards of *the view's
-  /// plan*, so read-ahead budget is never spent on partitions the view
-  /// pruned. Default no-op; like WillScanShard it must not affect
+  /// included: the base source stages *the view's plan* — all of its
+  /// remaining shards when the plan is small against the cache, the next
+  /// shard when it is a bulk scan — so read-ahead is never spent on
+  /// partitions the view pruned. Fired before plan[current]'s first
+  /// Acquire, so the remaining shards hold nothing this scan has already
+  /// consumed. Default no-op; like WillScanShard it must not affect
   /// results, only timing.
   virtual void StageHint(const std::vector<std::vector<size_t>>& plan,
                          size_t current, const ColumnSet& columns,

@@ -12,8 +12,9 @@
 //
 // Prefetch hints follow the pruned plan too: WillScanShard on the view
 // forwards to the base's StageHint with the view's *filtered* shard
-// lists, so an out-of-core base stages upcoming picked segments only —
-// read-ahead budget is never spent on partitions this view pruned.
+// lists, so an out-of-core base stages picked segments only (a pick
+// small against the cache all at once), and read-ahead is never spent on
+// partitions this view pruned.
 #ifndef PS3_STORAGE_PICKED_SOURCE_H_
 #define PS3_STORAGE_PICKED_SOURCE_H_
 

@@ -30,6 +30,7 @@
 #include "runtime/query_scheduler.h"
 #include "storage/column_set.h"
 #include "storage/partition_source.h"
+#include "storage/picked_source.h"
 #include "storage/sharded_table.h"
 #include "workload/datasets.h"
 
@@ -942,39 +943,138 @@ TEST(ColdScan, EvaluatorPrunesToReferencedColumns) {
   ExpectAnswersEqual(expected, query::ExactAnswer(count_star, counted));
 }
 
-TEST(PrefetchPipeline, AdaptiveDistanceWidensWhenLoadsLagScans) {
-  auto bundle = workload::MakeKdd(1200, /*seed=*/61);
-  storage::PartitionedTable pt(bundle.table, 12);
+TEST(PrefetchPipeline, FullUnpinnedCacheStillStagesSmallPlan) {
+  // An LRU at its budget with nothing pinned is all evictable headroom:
+  // a plan of a quarter of the budget is staged in full (evicting cold
+  // entries), not skipped as over budget.
+  auto bundle = workload::MakeKdd(2000, /*seed=*/61);
+  storage::PartitionedTable pt(bundle.table, 20);
   const std::string dir = MakeSpillDir();
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options opts;
-  opts.simulated_load_delay_us = 20000;  // loads far slower than "scans"
+  auto probe = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(probe.ok());
+  const std::vector<size_t> all_cols =
+      storage::ColumnSet::All().Resolve((*probe)->schema().num_columns());
+  const size_t part_bytes = (*probe)->columns_bytes(0, all_cols);
+  opts.cache_budget_bytes = part_bytes * 8;
   auto store = io::PartitionStore::Open(dir, opts);
   ASSERT_TRUE(store.ok());
 
+  for (size_t p = 8; p < 20; ++p) ASSERT_TRUE((*store)->Fetch(p).ok());
+  ASSERT_EQ((*store)->cache().bytes_cached(), opts.cache_budget_bytes);
+  ASSERT_EQ((*store)->cache().stats().bytes_pinned, 0u);
+
   runtime::QueryScheduler scheduler;
   io::PrefetchPipeline pipeline(store->get(), &scheduler);
-  EXPECT_EQ(pipeline.stats().ahead_shards, 1u);  // no samples yet
-
-  const auto shards = storage::AssignShards(pt.num_partitions(), 12,
-                                            storage::ShardAssignment::kRange);
-  // First shard entry: fixed next-shard lookahead; draining it seeds the
-  // load-latency EWMA with the 20ms staging pass.
-  pipeline.StageAhead(shards, 0, storage::ColumnSet::All());
+  // Two single-partition shards: exactly a quarter of the budget.
+  pipeline.StageAhead({{0}, {1}}, 0, storage::ColumnSet::All());
+  EXPECT_EQ(pipeline.stats().staged, 2u);
+  EXPECT_EQ(pipeline.stats().skipped_budget, 0u);
   pipeline.Drain();
-  // Back-to-back shard entries (a scan far faster than the loads): the
-  // scan-interval EWMA collapses toward zero while loads stay at ~20ms,
-  // so the stage-ahead distance must widen beyond one shard. Many quick
-  // entries, so the EWMA (alpha 1/4) decays structurally — a few
-  // scheduler preemptions between iterations (sanitizer CI) can't hold
-  // it at the load latency.
-  for (int iter = 0; iter < 20; ++iter) {
-    pipeline.StageAhead(shards, 1 + (iter % 8), storage::ColumnSet::All());
-  }
-  EXPECT_GT(pipeline.stats().ahead_shards, 1u);
-  EXPECT_GT(pipeline.stats().staged, 2u);
-  pipeline.Drain();
+  EXPECT_TRUE((*store)->cache().ContainsAll(0, all_cols));
+  EXPECT_TRUE((*store)->cache().ContainsAll(1, all_cols));
   EXPECT_EQ(pipeline.stats().load_errors, 0u);
+  EXPECT_EQ(pipeline.stats().inflight_bytes, 0u);
+}
+
+TEST(PrefetchPipeline, LoadsLandWhileTheOnlyDriverIsBlocked) {
+  // Staged loads run on the pipeline's own IO lanes: a scheduler whose
+  // only driver is parked (the driver is a query admission slot) must
+  // not hold read-ahead back.
+  auto bundle = workload::MakeKdd(600, /*seed=*/67);
+  storage::PartitionedTable pt(bundle.table, 6);
+  const std::string dir = MakeSpillDir();
+  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
+  io::PartitionStore::Options opts;
+  opts.simulated_load_delay_us = 2000;
+  auto store = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(store.ok());
+  const std::vector<size_t> all_cols =
+      storage::ColumnSet::All().Resolve((*store)->schema().num_columns());
+
+  runtime::QueryScheduler::Options sched_opts;
+  sched_opts.num_drivers = 1;
+  runtime::QueryScheduler scheduler(sched_opts);
+  ASSERT_EQ(scheduler.num_drivers(), 1u);
+  io::PrefetchPipeline pipeline(store->get(), &scheduler);
+
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::promise<void> parked;
+  auto blocked = scheduler.Defer([gate, &parked] {
+    parked.set_value();
+    gate.wait();
+  });
+  parked.get_future().wait();
+
+  pipeline.Stage({0, 1, 2});
+  bool landed = false;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!landed && std::chrono::steady_clock::now() < give_up) {
+    landed = (*store)->cache().ContainsAll(0, all_cols) &&
+             (*store)->cache().ContainsAll(1, all_cols) &&
+             (*store)->cache().ContainsAll(2, all_cols);
+    if (!landed) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  release.set_value();
+  blocked.wait();
+  EXPECT_TRUE(landed) << "staged loads waited for the scheduler's driver";
+  pipeline.Drain();
+  EXPECT_EQ(pipeline.stats().staged, 3u);
+  EXPECT_EQ(pipeline.stats().inflight_bytes, 0u);
+}
+
+TEST(PrefetchPipeline, BulkPlanStagesOnlyNextShardIntoFreeSpace) {
+  // A plan over a quarter of the cache budget is a bulk scan: it may not
+  // evict anything, so into a full cache it stages nothing, and into an
+  // empty one only the shard after the entered one — even when shard
+  // entries come far faster than its loads land.
+  auto bundle = workload::MakeKdd(1600, /*seed=*/71);
+  storage::PartitionedTable pt(bundle.table, 16);
+  const std::string dir = MakeSpillDir();
+  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
+  io::PartitionStore::Options opts;
+  opts.simulated_load_delay_us = 20000;
+  auto probe = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(probe.ok());
+  const std::vector<size_t> all_cols =
+      storage::ColumnSet::All().Resolve((*probe)->schema().num_columns());
+  opts.cache_budget_bytes = (*probe)->columns_bytes(0, all_cols) * 12;
+  auto store = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(store.ok());
+  const auto shards = storage::AssignShards(16, 8,
+                                            storage::ShardAssignment::kRange);
+  ASSERT_EQ(shards[1].size(), 2u);
+
+  // Full cache (partitions 4..15 resident, unpinned).
+  for (size_t p = 4; p < 16; ++p) ASSERT_TRUE((*store)->Fetch(p).ok());
+  ASSERT_EQ((*store)->cache().bytes_cached(), opts.cache_budget_bytes);
+
+  runtime::QueryScheduler scheduler;
+  io::PrefetchPipeline pipeline(store->get(), &scheduler);
+  pipeline.StageAhead(shards, 0, storage::ColumnSet::All());
+  EXPECT_EQ(pipeline.stats().staged, 0u);
+  EXPECT_EQ(pipeline.stats().skipped_budget, shards[1].size());
+
+  // Empty cache: shard 1 at the entry of shard 0; once it has landed,
+  // back-to-back entries of shards 1..3 stage shards 2..4, one each.
+  (*store)->cache().Clear();
+  pipeline.StageAhead(shards, 0, storage::ColumnSet::All());
+  EXPECT_EQ(pipeline.stats().staged, 2u);
+  pipeline.Drain();
+  for (size_t s = 1; s <= 3; ++s) {
+    pipeline.StageAhead(shards, s, storage::ColumnSet::All());
+  }
+  EXPECT_EQ(pipeline.stats().staged, 8u);
+  pipeline.Drain();
+  for (size_t p = 0; p < 16; ++p) {
+    EXPECT_EQ((*store)->cache().ContainsAll(p, all_cols), p >= 2 && p < 10)
+        << "partition " << p;
+  }
+  EXPECT_EQ(pipeline.stats().load_errors, 0u);
+  EXPECT_EQ(pipeline.stats().inflight_bytes, 0u);
 }
 
 // --------------------------------------------- cold scans, concurrency
@@ -1049,6 +1149,63 @@ TEST(ColdScan, ConcurrentQueriesSmallCachePinnedScans) {
   for (auto& f : futures) ExpectAnswersEqual(expected, f.get());
   EXPECT_EQ((*store)->store_stats().load_errors, 0u);
   EXPECT_EQ((*store)->cache().stats().bytes_pinned, 0u);
+}
+
+TEST(ColdScan, PickedScanStagesEachPlanPartitionOnceAndLoadsNoSegmentTwice) {
+  // A 4-shard picked scan over a full cache: every shard entry hints the
+  // rest of the plan, yet each plan partition is staged at most once,
+  // nothing is skipped as over budget, and no segment is read twice.
+  auto bundle = workload::MakeTpchStar(4000, /*seed=*/97);
+  storage::PartitionedTable pt(bundle.table, 40);
+  const storage::ResidentShardedSource flat_src(pt);
+  const std::string dir = MakeSpillDir();
+  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
+
+  query::Query q = CountSumQuery(*bundle.table);
+  std::vector<size_t> picked;
+  for (size_t p = 1; p < 40; p += 4) picked.push_back(p);
+  io::PartitionStore::Options opts;
+  opts.simulated_load_delay_us = 2000;
+  auto probe = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(probe.ok());
+  const std::vector<size_t> hinted =
+      query::ReferencedColumns(query::CompileQuery(q))
+          .Resolve((*probe)->schema().num_columns());
+  size_t plan_bytes = 0;
+  for (size_t p : picked) plan_bytes += (*probe)->columns_bytes(p, hinted);
+  opts.cache_budget_bytes = plan_bytes * 4;
+  auto store = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(store.ok());
+
+  // Fill the cache with unpinned segments the plan does not read.
+  for (size_t p = 0; p < 40; p += 4) ASSERT_TRUE((*store)->Fetch(p).ok());
+  ASSERT_GT((*store)->cache().stats().evictions, 0u);
+
+  runtime::QueryScheduler scheduler;
+  io::PrefetchPipeline pipeline(store->get(), &scheduler);
+  io::ColdShardedSource cold(store->get(), 4,
+                             storage::ShardAssignment::kRange, &pipeline);
+  const storage::PickedSource view(cold, picked);
+  query::ExecOptions eopts;
+  eopts.num_threads = 4;
+  const io::StoreStats before = (*store)->store_stats();
+  auto answers = query::EvaluateAllPartitions(q, view, eopts);
+  pipeline.Drain();
+  const io::StoreStats after = (*store)->store_stats();
+
+  const io::PrefetchPipeline::PrefetchStats stats = pipeline.stats();
+  EXPECT_GT(stats.staged, 0u);
+  EXPECT_LE(stats.staged, picked.size());
+  EXPECT_EQ(stats.skipped_budget, 0u);
+  EXPECT_EQ(stats.load_errors, 0u);
+  EXPECT_EQ(after.segments_loaded - before.segments_loaded,
+            picked.size() * hinted.size());
+  EXPECT_EQ((*store)->cache().stats().bytes_pinned, 0u);
+  ExpectAnswersEqual(
+      query::ExactAnswer(q, query::EvaluateAllPartitions(
+                                q, storage::PickedSource(flat_src, picked),
+                                eopts)),
+      query::ExactAnswer(q, answers));
 }
 
 // ------------------------------------- cancellation, pins, and budget
@@ -1208,8 +1365,8 @@ TEST(PrefetchBudget, FailedColdLoadsReturnAllReservedBudget) {
 }
 
 TEST(PrefetchBudget, InteractiveReserveSurvivesBatchPressure) {
-  // With the read-ahead pool sized to ~one partition's encoded bytes and
-  // a 50% interactive reserve, batch staging must stop at its share while
+  // With the cache budget sized to two partitions' decoded bytes and a
+  // 50% interactive reserve, batch staging must stop at its share while
   // interactive staging can still admit — the isolation the per-class
   // split exists for.
   auto bundle = workload::MakeKdd(1500, /*seed=*/89);
@@ -1218,31 +1375,33 @@ TEST(PrefetchBudget, InteractiveReserveSurvivesBatchPressure) {
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options sopts;
   sopts.simulated_load_delay_us = 20000;  // loads stay in flight a while
+  auto probe = io::PartitionStore::Open(dir, sopts);
+  ASSERT_TRUE(probe.ok());
+
+  const std::vector<size_t> all_cols =
+      storage::ColumnSet::All().Resolve((*probe)->schema().num_columns());
+  size_t max_part = 0;
+  for (size_t p = 0; p < (*probe)->num_partitions(); ++p) {
+    max_part = std::max(max_part, (*probe)->columns_bytes(p, all_cols));
+  }
+  sopts.cache_budget_bytes = max_part * 2;
   auto store = io::PartitionStore::Open(dir, sopts);
   ASSERT_TRUE(store.ok());
 
-  const std::vector<size_t> all_cols =
-      storage::ColumnSet::All().Resolve((*store)->schema().num_columns());
-  size_t max_part = 0;
-  for (size_t p = 0; p < (*store)->num_partitions(); ++p) {
-    max_part = std::max(max_part,
-                        (*store)->encoded_columns_bytes(p, all_cols));
-  }
-
   runtime::QueryScheduler scheduler;
   io::PrefetchPipeline::Options popts;
-  popts.readahead_bytes = max_part * 2;
   popts.interactive_reserve_fraction = 0.5;
   io::PrefetchPipeline pipeline(store->get(), &scheduler, popts);
 
   // Batch staging of everything: admission must cap batch in-flight
-  // bytes at half the pool and skip the rest.
+  // bytes at half the headroom and skip the rest.
   pipeline.Stage({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
   EXPECT_LE(pipeline.stats().inflight_batch_bytes, max_part * 2 / 2 + 1);
   EXPECT_GT(pipeline.stats().skipped_budget, 0u);
   // Interactive staging still admits into the reserved share while the
   // batch loads are in flight (pick a partition batch didn't claim; with
-  // batch capped at half the pool, at least the last one is unclaimed).
+  // batch capped at half the headroom, at least the last one is
+  // unclaimed).
   const io::PrefetchPipeline::PrefetchStats mid = pipeline.stats();
   pipeline.Stage({9}, storage::ColumnSet::All(), QueryClass::kInteractive);
   const io::PrefetchPipeline::PrefetchStats after = pipeline.stats();
