@@ -70,11 +70,13 @@ int main(int argc, char** argv) {
   report.SetHeader({"dataset", "total", "clustering"});
   for (const char* dataset : {"aria", "kdd", "tpcds", "tpch"}) {
     auto t = bench::MeasureDataset(dataset);
+    // Two decimals: picks take about a millisecond, so one decimal
+    // cannot resolve a change to them.
     report.AddRow({dataset,
-                   eval::Num(t.total_mean, 1) + " +/- " +
-                       eval::Num(t.total_spread, 1),
-                   eval::Num(t.cluster_mean, 1) + " +/- " +
-                       eval::Num(t.cluster_spread, 1)});
+                   eval::Num(t.total_mean, 2) + " +/- " +
+                       eval::Num(t.total_spread, 2),
+                   eval::Num(t.cluster_mean, 2) + " +/- " +
+                       eval::Num(t.cluster_spread, 2)});
   }
   report.Print();
   return 0;

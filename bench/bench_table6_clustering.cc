@@ -16,12 +16,13 @@ double ClusteringAuc(const eval::Experiment& exp, core::ClusterAlgo algo) {
     queries.push_back(i);
   }
   std::vector<bool> none(featurize::kNumStatKinds, false);
+  const auto normalized =
+      core::NormalizeQueries(data, exp.ps3_model().normalizer, queries);
   std::vector<double> budgets = {0.05, 0.1, 0.2, 0.4};
   std::vector<double> errs;
   for (double b : budgets) {
     errs.push_back(core::EvaluateClusteringError(
-        exp.ctx(), data, exp.ps3_model().normalizer, algo, none, queries, b,
-        99));
+        exp.ctx(), data, normalized, algo, none, queries, b, 99));
   }
   // Percent-scale AUC like the paper's Table 6.
   return TrapezoidAuc(budgets, errs) * 100.0;

@@ -16,12 +16,13 @@ double Auc(const eval::Experiment& exp, core::ClusterAlgo algo,
   for (size_t i = 0; i < std::min<size_t>(8, data.num_queries()); ++i) {
     queries.push_back(i);
   }
+  const auto normalized =
+      core::NormalizeQueries(data, exp.ps3_model().normalizer, queries);
   std::vector<double> budgets = {0.05, 0.1, 0.2, 0.4};
   std::vector<double> errs;
   for (double b : budgets) {
     errs.push_back(core::EvaluateClusteringError(
-        exp.ctx(), data, exp.ps3_model().normalizer, algo, excluded, queries,
-        b, 99));
+        exp.ctx(), data, normalized, algo, excluded, queries, b, 99));
   }
   return TrapezoidAuc(budgets, errs) * 100.0;
 }

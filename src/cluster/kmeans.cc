@@ -1,9 +1,11 @@
 #include "cluster/kmeans.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <limits>
 
-#include "common/math_util.h"
+#include "runtime/simd.h"
 
 namespace ps3::cluster {
 
@@ -15,6 +17,35 @@ std::vector<std::vector<size_t>> Clustering::Members() const {
   return out;
 }
 
+namespace {
+
+// Kernel dispatch by CPU support, as for the engine's other kernels.
+void SquaredDistances(const double* points, size_t n, size_t dim,
+                      const double* center, double* out) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (runtime::Avx2Available()) {
+    runtime::SquaredDistancesAvx2(points, n, n, dim, center, out);
+  } else
+#endif
+  {
+    runtime::SquaredDistancesScalar(points, n, n, dim, center, out);
+  }
+}
+
+void NearestCenters(const double* points, size_t n, size_t dim,
+                    const double* centers, size_t k, int32_t* nearest) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (runtime::Avx2Available()) {
+    runtime::NearestCentersAvx2(points, n, n, dim, centers, k, nearest);
+  } else
+#endif
+  {
+    runtime::NearestCentersScalar(points, n, n, dim, centers, k, nearest);
+  }
+}
+
+}  // namespace
+
 Clustering KMeans(const std::vector<std::vector<double>>& points, size_t k,
                   const KMeansParams& params) {
   const size_t n = points.size();
@@ -22,16 +53,28 @@ Clustering KMeans(const std::vector<std::vector<double>>& points, size_t k,
   const size_t dim = points[0].size();
   RandomEngine rng(params.seed);
 
+  // Dim-major copy: coordinate d of point i at flat[d * n + i].
+  std::vector<double> flat(n * dim);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dim; ++d) flat[d * n + i] = points[i][d];
+  }
+  // Centers, point-major: coordinate d of center c at centers[c * dim + d].
+  std::vector<double> centers(k * dim);
+  auto set_center = [&](size_t c, size_t i) {
+    std::copy(points[i].begin(), points[i].end(),
+              centers.begin() + static_cast<ptrdiff_t>(c * dim));
+  };
+
   // k-means++ seeding.
-  std::vector<std::vector<double>> centers;
-  centers.reserve(k);
-  centers.push_back(points[rng.NextUint64(n)]);
+  set_center(0, rng.NextUint64(n));
   std::vector<double> dist2(n, std::numeric_limits<double>::max());
-  while (centers.size() < k) {
+  std::vector<double> d_new(n);
+  for (size_t c = 1; c < k; ++c) {
+    SquaredDistances(flat.data(), n, dim,
+                     centers.data() + (c - 1) * dim, d_new.data());
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      double d = SquaredL2(points[i], centers.back());
-      if (d < dist2[i]) dist2[i] = d;
+      if (d_new[i] < dist2[i]) dist2[i] = d_new[i];
       total += dist2[i];
     }
     size_t chosen;
@@ -50,50 +93,43 @@ Clustering KMeans(const std::vector<std::vector<double>>& points, size_t k,
         }
       }
     }
-    centers.push_back(points[chosen]);
+    set_center(c, chosen);
   }
 
   Clustering result;
   result.k = k;
   result.assignment.assign(n, 0);
+  std::vector<int32_t> nearest(n);
   std::vector<size_t> counts(k, 0);
   for (int iter = 0; iter < params.max_iters; ++iter) {
     bool changed = false;
     // Assign.
+    NearestCenters(flat.data(), n, dim, centers.data(), k, nearest.data());
     for (size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::max();
-      int best_c = 0;
-      for (size_t c = 0; c < k; ++c) {
-        double d = SquaredL2(points[i], centers[c]);
-        if (d < best) {
-          best = d;
-          best_c = static_cast<int>(c);
-        }
-      }
-      if (result.assignment[i] != best_c) {
-        result.assignment[i] = best_c;
+      if (result.assignment[i] != nearest[i]) {
+        result.assignment[i] = nearest[i];
         changed = true;
       }
     }
-    // Update.
-    for (auto& c : centers) c.assign(dim, 0.0);
+    // Update: each (center, dim) sum runs over points in ascending order.
+    std::fill(centers.begin(), centers.end(), 0.0);
     counts.assign(k, 0);
     for (size_t i = 0; i < n; ++i) {
-      auto& c = centers[static_cast<size_t>(result.assignment[i])];
+      const size_t a = static_cast<size_t>(result.assignment[i]);
+      double* c = centers.data() + a * dim;
       for (size_t d = 0; d < dim; ++d) c[d] += points[i][d];
-      ++counts[static_cast<size_t>(result.assignment[i])];
+      ++counts[a];
     }
     for (size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
         // Re-seed an empty cluster with a random point to keep all k
         // clusters non-empty (each cluster must produce one exemplar).
-        size_t p = rng.NextUint64(n);
-        centers[c] = points[p];
+        set_center(c, rng.NextUint64(n));
         changed = true;
         continue;
       }
       for (size_t d = 0; d < dim; ++d) {
-        centers[c][d] /= static_cast<double>(counts[c]);
+        centers[c * dim + d] /= static_cast<double>(counts[c]);
       }
     }
     if (!changed && iter > 0) break;

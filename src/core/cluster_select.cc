@@ -15,24 +15,31 @@ std::vector<std::vector<double>> BuildClusterPoints(
     const std::vector<size_t>& members,
     const std::vector<bool>* excluded_kinds) {
   // Keep dimensions that are included by kind and vary across members —
-  // constant dimensions contribute nothing to Euclidean distances.
-  std::vector<size_t> dims;
-  for (size_t j = 0; j < schema.num_features(); ++j) {
-    int kind = static_cast<int>(schema.def(j).kind);
-    if (excluded_kinds != nullptr && (*excluded_kinds)[kind]) continue;
-    double lo = normalized.At(members[0], j);
-    double hi = lo;
-    for (size_t m : members) {
-      double v = normalized.At(m, j);
-      if (v < lo) lo = v;
-      if (v > hi) hi = v;
+  // constant dimensions contribute nothing to Euclidean distances. The
+  // range scan reads each member's whole row contiguously.
+  const size_t m = schema.num_features();
+  std::vector<double> lo(normalized.Row(members[0]),
+                         normalized.Row(members[0]) + m);
+  std::vector<double> hi = lo;
+  for (size_t p : members) {
+    const double* row = normalized.Row(p);
+    for (size_t j = 0; j < m; ++j) {
+      const double v = row[j];
+      lo[j] = v < lo[j] ? v : lo[j];
+      hi[j] = v > hi[j] ? v : hi[j];
     }
-    if (hi > lo) dims.push_back(j);
+  }
+  std::vector<size_t> dims;
+  for (size_t j = 0; j < m; ++j) {
+    const int kind = static_cast<int>(schema.def(j).kind);
+    if (excluded_kinds != nullptr && (*excluded_kinds)[kind]) continue;
+    if (hi[j] > lo[j]) dims.push_back(j);
   }
   std::vector<std::vector<double>> points(members.size());
   for (size_t i = 0; i < members.size(); ++i) {
+    const double* row = normalized.Row(members[i]);
     points[i].reserve(dims.size());
-    for (size_t j : dims) points[i].push_back(normalized.At(members[i], j));
+    for (size_t j : dims) points[i].push_back(row[j]);
   }
   return points;
 }

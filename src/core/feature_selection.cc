@@ -1,6 +1,7 @@
 #include "core/feature_selection.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 
 #include "core/cluster_select.h"
@@ -8,18 +9,19 @@
 
 namespace ps3::core {
 
-double EvaluateClusteringError(const PickerContext& ctx,
-                               const TrainingData& data,
-                               const featurize::FeatureNormalizer& normalizer,
-                               ClusterAlgo algo,
-                               const std::vector<bool>& excluded_kinds,
-                               const std::vector<size_t>& query_indices,
-                               double budget_frac, uint64_t seed) {
+double EvaluateClusteringError(
+    const PickerContext& ctx, const TrainingData& data,
+    const std::vector<featurize::FeatureMatrix>& normalized,
+    ClusterAlgo algo, const std::vector<bool>& excluded_kinds,
+    const std::vector<size_t>& query_indices, double budget_frac,
+    uint64_t seed) {
+  assert(normalized.size() == query_indices.size());
   const featurize::FeatureSchema& schema = ctx.featurizer->feature_schema();
   const size_t n_parts = ctx.featurizer->num_partitions();
   double total_err = 0.0;
   size_t counted = 0;
-  for (size_t qi : query_indices) {
+  for (size_t e = 0; e < query_indices.size(); ++e) {
+    const size_t qi = query_indices[e];
     const auto& raw = data.features[qi];
     // Candidates: perfect-recall selectivity filter (raw upper bound > 0;
     // the cube-root normalization preserves the sign so either works).
@@ -33,15 +35,13 @@ double EvaluateClusteringError(const PickerContext& ctx,
                                static_cast<double>(n_parts)));
     n = std::min(n, candidates.size());
 
-    featurize::FeatureMatrix norm = raw;
-    normalizer.Apply(&norm);
     ClusterSelectOptions cs;
     cs.algo = algo;
     cs.excluded_kinds = &excluded_kinds;
     cs.kmeans_iters = 8;  // scoring needs relative, not converged, quality
     RandomEngine rng(seed + qi * 1315423911ULL);
     Selection sel =
-        ClusterSelect(norm, schema, candidates, n, cs, &rng);
+        ClusterSelect(normalized[e], schema, candidates, n, cs, &rng);
     auto estimate =
         query::CombineWeighted(data.queries[qi], data.answers[qi], sel.parts);
     total_err += query::ComputeErrorMetrics(data.queries[qi], data.exact[qi],
@@ -65,6 +65,9 @@ std::vector<bool> SelectClusterFeatures(
         data.num_queries());
     eval_queries = SampleWithoutReplacement(data.num_queries(), want, &rng);
   }
+  // Normalize each evaluation query once; every candidate mask reuses it.
+  const std::vector<featurize::FeatureMatrix> normalized =
+      NormalizeQueries(data, normalizer, eval_queries);
 
   // Memoize candidate scores by exclusion bitmask.
   std::map<uint32_t, double> cache;
@@ -75,7 +78,7 @@ std::vector<bool> SelectClusterFeatures(
     }
     auto it = cache.find(key);
     if (it != cache.end()) return it->second;
-    double err = EvaluateClusteringError(ctx, data, normalizer, algo,
+    double err = EvaluateClusteringError(ctx, data, normalized, algo,
                                          excluded, eval_queries,
                                          options.budget_frac, options.seed);
     cache.emplace(key, err);

@@ -14,14 +14,15 @@ namespace ps3::core {
 
 /// Average relative error of pure clustering-based selection (no funnel,
 /// no outliers) over the given training queries at one sampling budget.
-/// Used both by Algorithm 3 and by the Table 6/7 benchmarks.
-double EvaluateClusteringError(const PickerContext& ctx,
-                               const TrainingData& data,
-                               const featurize::FeatureNormalizer& normalizer,
-                               ClusterAlgo algo,
-                               const std::vector<bool>& excluded_kinds,
-                               const std::vector<size_t>& query_indices,
-                               double budget_frac, uint64_t seed);
+/// `normalized[e]` is the normalized feature matrix of training query
+/// `query_indices[e]` (see NormalizeQueries). Used both by Algorithm 3
+/// and by the Table 6/7 benchmarks.
+double EvaluateClusteringError(
+    const PickerContext& ctx, const TrainingData& data,
+    const std::vector<featurize::FeatureMatrix>& normalized,
+    ClusterAlgo algo, const std::vector<bool>& excluded_kinds,
+    const std::vector<size_t>& query_indices, double budget_frac,
+    uint64_t seed);
 
 /// Runs Algorithm 3 and returns the per-StatKind exclusion mask.
 std::vector<bool> SelectClusterFeatures(

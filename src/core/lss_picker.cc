@@ -123,13 +123,9 @@ LssModel TrainLss(const PickerContext& ctx, const TrainingData& data,
   auto eval_queries =
       SampleWithoutReplacement(data.num_queries(), want, &rng);
 
-  // Cache normalized features + predictions for the evaluation queries.
-  std::vector<featurize::FeatureMatrix> eval_features;
-  for (size_t qi : eval_queries) {
-    featurize::FeatureMatrix norm = data.features[qi];
-    model.normalizer.Apply(&norm);
-    eval_features.push_back(std::move(norm));
-  }
+  // Normalize the evaluation queries once for the whole sweep.
+  const std::vector<featurize::FeatureMatrix> eval_features =
+      NormalizeQueries(data, model.normalizer, eval_queries);
 
   for (double budget_frac : options.tuning_budgets) {
     size_t budget = std::max<size_t>(
@@ -173,14 +169,15 @@ Selection LssPicker::Pick(const query::Query& query, size_t budget,
   (void)telemetry;
   Selection out;
   if (budget == 0) return out;
-  std::vector<size_t> candidates = FilterBySelectivity(ctx_, query);
+  const std::vector<featurize::SelectivityFeatures> sel =
+      ctx_.featurizer->ComputeSelectivity(query);
+  std::vector<size_t> candidates = FilterBySelectivity(sel);
   if (candidates.empty()) return out;
   if (budget >= candidates.size()) {
     for (size_t p : candidates) out.parts.push_back({p, 1.0});
     return out;
   }
-  featurize::FeatureMatrix features = ctx_.featurizer->BuildFeatures(query);
-  model_->normalizer.Apply(&features);
+  const featurize::FeatureMatrix features = features_.Build(query, sel);
   std::vector<double> scores;
   scores.reserve(candidates.size());
   for (size_t p : candidates) {

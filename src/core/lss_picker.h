@@ -38,8 +38,11 @@ LssModel TrainLss(const PickerContext& ctx, const TrainingData& data,
 
 class LssPicker : public PartitionPicker {
  public:
+  /// Like Ps3Picker, reads `model`'s normalizer once, here.
   LssPicker(const PickerContext& ctx, const LssModel* model)
-      : ctx_(ctx), model_(model) {}
+      : ctx_(ctx),
+        model_(model),
+        features_(*ctx.featurizer, model->normalizer) {}
 
   std::string name() const override { return "lss"; }
   Selection Pick(const query::Query& query, size_t budget, RandomEngine* rng,
@@ -55,6 +58,7 @@ class LssPicker : public PartitionPicker {
  private:
   PickerContext ctx_;
   const LssModel* model_;
+  featurize::NormalizedFeatures features_;
 };
 
 }  // namespace ps3::core

@@ -157,8 +157,11 @@ Selection Ps3Picker::Pick(const query::Query& query, size_t budget,
   Selection out;
   if (budget == 0) return out;
 
-  // Perfect-recall predicate filter.
-  std::vector<size_t> candidates = FilterBySelectivity(ctx_, query);
+  // One selectivity pass feeds both the perfect-recall predicate filter
+  // and the selectivity features.
+  const std::vector<featurize::SelectivityFeatures> sel =
+      ctx_.featurizer->ComputeSelectivity(query);
+  std::vector<size_t> candidates = FilterBySelectivity(sel);
   if (candidates.empty()) return out;
   if (budget >= candidates.size()) {
     for (size_t p : candidates) out.parts.push_back({p, 1.0});
@@ -192,8 +195,7 @@ Selection Ps3Picker::Pick(const query::Query& query, size_t budget,
   }
 
   // 2. Importance funnel (Algorithm 2).
-  featurize::FeatureMatrix features = ctx_.featurizer->BuildFeatures(query);
-  model_->normalizer.Apply(&features);
+  const featurize::FeatureMatrix features = features_.Build(query, sel);
   std::vector<std::vector<size_t>> groups;
   if (model_->options.use_regressors && !model_->regressors.empty()) {
     if (oracle_) {

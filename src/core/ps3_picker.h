@@ -18,8 +18,15 @@ using OracleFn = std::function<std::vector<double>(const query::Query&)>;
 
 class Ps3Picker : public PartitionPicker {
  public:
+  /// Reads `model`'s normalizer once, here: the normalized static
+  /// statistics (n x m doubles, ~1.3 MB at 400 partitions x 403 features)
+  /// are computed at construction, so later changes to the normalizer do
+  /// not reach this picker. The rest of the model (options, regressors,
+  /// exclusion mask) is read on every Pick; `model` must outlive it.
   Ps3Picker(const PickerContext& ctx, const Ps3Model* model)
-      : ctx_(ctx), model_(model) {}
+      : ctx_(ctx),
+        model_(model),
+        features_(*ctx.featurizer, model->normalizer) {}
 
   std::string name() const override { return "ps3"; }
 
@@ -52,6 +59,7 @@ class Ps3Picker : public PartitionPicker {
  private:
   PickerContext ctx_;
   const Ps3Model* model_;
+  featurize::NormalizedFeatures features_;
   OracleFn oracle_;
 };
 

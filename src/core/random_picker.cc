@@ -4,7 +4,11 @@ namespace ps3::core {
 
 std::vector<size_t> FilterBySelectivity(const PickerContext& ctx,
                                         const query::Query& query) {
-  auto sel = ctx.featurizer->ComputeSelectivity(query);
+  return FilterBySelectivity(ctx.featurizer->ComputeSelectivity(query));
+}
+
+std::vector<size_t> FilterBySelectivity(
+    const std::vector<featurize::SelectivityFeatures>& sel) {
   std::vector<size_t> out;
   out.reserve(sel.size());
   for (size_t p = 0; p < sel.size(); ++p) {

@@ -38,6 +38,11 @@ class RandomFilterPicker : public PartitionPicker {
 std::vector<size_t> FilterBySelectivity(const PickerContext& ctx,
                                         const query::Query& query);
 
+/// The same filter over an already computed selectivity pass: partitions
+/// whose selectivity upper bound is non-zero.
+std::vector<size_t> FilterBySelectivity(
+    const std::vector<featurize::SelectivityFeatures>& sel);
+
 /// Uniform sample of `budget` members of `candidates` with Horvitz-Thompson
 /// weights |candidates| / budget.
 Selection UniformSelection(const std::vector<size_t>& candidates,

@@ -45,4 +45,16 @@ TrainingData BuildTrainingData(const PickerContext& ctx,
   return data;
 }
 
+std::vector<featurize::FeatureMatrix> NormalizeQueries(
+    const TrainingData& data, const featurize::FeatureNormalizer& normalizer,
+    const std::vector<size_t>& query_indices) {
+  std::vector<featurize::FeatureMatrix> out;
+  out.reserve(query_indices.size());
+  for (size_t qi : query_indices) {
+    out.push_back(data.features[qi]);
+    normalizer.Apply(&out.back());
+  }
+  return out;
+}
+
 }  // namespace ps3::core

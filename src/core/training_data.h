@@ -9,6 +9,7 @@
 
 #include "core/picker.h"
 #include "featurize/featurizer.h"
+#include "featurize/normalizer.h"
 #include "query/evaluator.h"
 #include "query/query.h"
 
@@ -31,6 +32,13 @@ struct TrainingData {
 /// Evaluates every query on every partition and featurizes it.
 TrainingData BuildTrainingData(const PickerContext& ctx,
                                std::vector<query::Query> queries);
+
+/// Normalized copies of the raw feature matrices of the queries at
+/// `query_indices`, in that order. Training loops that score many
+/// candidates on the same queries normalize them once with this.
+std::vector<featurize::FeatureMatrix> NormalizeQueries(
+    const TrainingData& data, const featurize::FeatureNormalizer& normalizer,
+    const std::vector<size_t>& query_indices);
 
 }  // namespace ps3::core
 

@@ -1,6 +1,8 @@
 #include "featurize/featurizer.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "runtime/worker_pool.h"
 
@@ -85,18 +87,37 @@ Featurizer::Featurizer(const storage::Schema& schema,
   }
 }
 
-FeatureMatrix Featurizer::BuildFeatures(const query::Query& query) const {
-  FeatureMatrix out = static_features_;
-  const auto used = query.UsedColumns();
-  // Mask: zero features of columns the query does not touch.
+FeatureMatrix Featurizer::MaskStatic(const FeatureMatrix& statics,
+                                     const query::Query& query) const {
+  assert(statics.n == stats_->num_partitions() &&
+         statics.m == schema_.num_features());
   std::vector<bool> column_used(table_schema_.num_columns(), false);
-  for (size_t c : used) column_used[c] = true;
-  for (size_t j = 0; j < out.m; ++j) {
-    int col = feature_column_[j];
-    if (col >= 0 && !column_used[static_cast<size_t>(col)]) {
-      for (size_t p = 0; p < out.n; ++p) out.At(p, j) = 0.0;
+  for (size_t c : query.UsedColumns()) column_used[c] = true;
+  // Kept features as [begin, end) runs: a column's features are adjacent
+  // in the schema, so each used column is one run.
+  std::vector<std::pair<size_t, size_t>> runs;
+  for (size_t j = 0; j < statics.m; ++j) {
+    const int col = feature_column_[j];
+    if (col < 0 || !column_used[static_cast<size_t>(col)]) continue;
+    if (!runs.empty() && runs.back().second == j) {
+      runs.back().second = j + 1;
+    } else {
+      runs.emplace_back(j, j + 1);
     }
   }
+  FeatureMatrix out(statics.n, statics.m);
+  for (size_t p = 0; p < out.n; ++p) {
+    const double* src = statics.Row(p);
+    double* dst = out.Row(p);
+    for (const auto& [begin, end] : runs) {
+      std::copy(src + begin, src + end, dst + begin);
+    }
+  }
+  return out;
+}
+
+FeatureMatrix Featurizer::BuildFeatures(const query::Query& query) const {
+  FeatureMatrix out = MaskStatic(static_features_, query);
   // Query-specific selectivity features.
   auto sel = ComputeSelectivity(query);
   for (size_t p = 0; p < out.n; ++p) {

@@ -51,13 +51,27 @@ class Featurizer {
   size_t num_partitions() const { return stats_->num_partitions(); }
 
   /// Full (unnormalized) feature matrix for a query: static features with
-  /// unused columns masked to zero, plus the selectivity features.
+  /// unused columns masked to zero, plus the selectivity features. This is
+  /// the training path: the normalizer is fit on these raw matrices.
+  /// Pickers build their normalized matrices with NormalizedFeatures
+  /// (featurize/normalizer.h), which gives the same doubles as this plus
+  /// FeatureNormalizer::Apply without normalizing the static statistics
+  /// per query.
   FeatureMatrix BuildFeatures(const query::Query& query) const;
 
   /// Selectivity features only, one entry per partition (cheaper than
   /// BuildFeatures; used by the predicate filter of every method).
   std::vector<SelectivityFeatures> ComputeSelectivity(
       const query::Query& query) const;
+
+  /// The query-independent feature matrix; selectivity features are 0.
+  const FeatureMatrix& static_features() const { return static_features_; }
+
+  /// Masks `statics` (laid out like static_features()) for `query`: the
+  /// features of the columns the query uses are copied, every other
+  /// feature, the selectivity ones included, is +0.0.
+  FeatureMatrix MaskStatic(const FeatureMatrix& statics,
+                           const query::Query& query) const;
 
  private:
   storage::Schema table_schema_;

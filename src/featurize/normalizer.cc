@@ -74,10 +74,36 @@ void FeatureNormalizer::Apply(FeatureMatrix* features) const {
   assert(features->m == scale_.size());
   for (size_t i = 0; i < features->n; ++i) {
     double* row = features->Row(i);
-    for (size_t j = 0; j < features->m; ++j) {
-      row[j] = Transform(kinds_[j], row[j]) / scale_[j];
-    }
+    for (size_t j = 0; j < features->m; ++j) row[j] = Normalize(j, row[j]);
   }
+}
+
+NormalizedFeatures::NormalizedFeatures(const Featurizer& featurizer,
+                                       const FeatureNormalizer& normalizer)
+    : featurizer_(&featurizer), normalizer_(normalizer) {
+  if (!normalizer_.fitted()) return;
+  statics_ = featurizer.static_features();
+  normalizer_.Apply(&statics_);
+}
+
+FeatureMatrix NormalizedFeatures::Build(
+    const query::Query& query,
+    const std::vector<SelectivityFeatures>& sel) const {
+  assert(normalizer_.fitted() && sel.size() == statics_.n);
+  FeatureMatrix out = featurizer_->MaskStatic(statics_, query);
+  const FeatureSchema& schema = featurizer_->feature_schema();
+  const size_t upper = schema.sel_upper_index();
+  const size_t indep = schema.sel_indep_index();
+  const size_t min = schema.sel_min_index();
+  const size_t max = schema.sel_max_index();
+  for (size_t p = 0; p < out.n; ++p) {
+    double* row = out.Row(p);
+    row[upper] = normalizer_.Normalize(upper, sel[p].upper);
+    row[indep] = normalizer_.Normalize(indep, sel[p].indep);
+    row[min] = normalizer_.Normalize(min, sel[p].min_clause);
+    row[max] = normalizer_.Normalize(max, sel[p].max_clause);
+  }
+  return out;
 }
 
 }  // namespace ps3::featurize

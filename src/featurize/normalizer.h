@@ -23,6 +23,12 @@ class FeatureNormalizer {
   /// Applies transform + scaling in place. Must be Fit first.
   void Apply(FeatureMatrix* features) const;
 
+  /// Feature `j`'s normalized value for raw value `v`: the one formula
+  /// Apply uses for every element.
+  double Normalize(size_t j, double v) const {
+    return Transform(kinds_[j], v) / scale_[j];
+  }
+
   bool fitted() const { return !scale_.empty(); }
   const std::vector<double>& scales() const { return scale_; }
 
@@ -36,6 +42,30 @@ class FeatureNormalizer {
  private:
   std::vector<StatKind> kinds_;  // per feature
   std::vector<double> scale_;    // per feature; > 0
+};
+
+/// A picker's normalized per-query feature matrices. Build(query, sel)
+/// equals featurizer.BuildFeatures(query) followed by normalizer.Apply bit
+/// for bit, but the static statistics are transformed and scaled once, at
+/// construction (n x m doubles). A masked feature is raw 0 and
+/// Transform(kind, 0) / scale == +0.0, so per query only the used
+/// columns' normalized statistics are copied and the four selectivity
+/// features normalized.
+class NormalizedFeatures {
+ public:
+  /// Copies `normalizer`; an unfitted one leaves the object empty, and
+  /// Build must not be called.
+  NormalizedFeatures(const Featurizer& featurizer,
+                     const FeatureNormalizer& normalizer);
+
+  /// `sel` must be featurizer.ComputeSelectivity(query).
+  FeatureMatrix Build(const query::Query& query,
+                      const std::vector<SelectivityFeatures>& sel) const;
+
+ private:
+  const Featurizer* featurizer_ = nullptr;
+  FeatureNormalizer normalizer_;
+  FeatureMatrix statics_;  // normalized static features
 };
 
 }  // namespace ps3::featurize

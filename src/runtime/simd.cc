@@ -218,6 +218,109 @@ __attribute__((target("avx2"))) void ForDeltaReconstructAvx2(
   }
 }
 
+namespace {
+
+/// Squared distances from points i..i+3 to `center`, summed over the
+/// dimensions in order (SquaredDistanceScalar's order, one point per lane).
+__attribute__((target("avx2"))) inline __m256d SquaredDistance4(
+    const double* points, size_t stride, size_t i, size_t dim,
+    const double* center) {
+  __m256d acc = _mm256_setzero_pd();
+  for (size_t d = 0; d < dim; ++d) {
+    const __m256d t = _mm256_sub_pd(_mm256_loadu_pd(points + d * stride + i),
+                                    _mm256_broadcast_sd(center + d));
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(t, t));
+  }
+  return acc;
+}
+
+/// One step of the nearest-center scan: lanes where `dist` beats `best`
+/// (strictly, so an earlier center keeps a tie) take center `c`.
+__attribute__((target("avx2"))) inline void TakeIfCloser(
+    __m256d dist, size_t c, __m256d* best, __m256d* best_c) {
+  const __m256d closer = _mm256_cmp_pd(dist, *best, _CMP_LT_OQ);
+  *best = _mm256_blendv_pd(*best, dist, closer);
+  *best_c = _mm256_blendv_pd(*best_c, _mm256_set1_pd(static_cast<double>(c)),
+                             closer);
+}
+
+}  // namespace
+
+__attribute__((target("avx2"))) void SquaredDistancesAvx2(
+    const double* points, size_t stride, size_t n, size_t dim,
+    const double* center, double* out) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+    for (size_t d = 0; d < dim; ++d) {
+      const double* x = points + d * stride + i;
+      const __m256d c = _mm256_broadcast_sd(center + d);
+      const __m256d t0 = _mm256_sub_pd(_mm256_loadu_pd(x), c);
+      const __m256d t1 = _mm256_sub_pd(_mm256_loadu_pd(x + 4), c);
+      const __m256d t2 = _mm256_sub_pd(_mm256_loadu_pd(x + 8), c);
+      const __m256d t3 = _mm256_sub_pd(_mm256_loadu_pd(x + 12), c);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(t0, t0));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(t1, t1));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(t2, t2));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(t3, t3));
+    }
+    _mm256_storeu_pd(out + i, a0);
+    _mm256_storeu_pd(out + i + 4, a1);
+    _mm256_storeu_pd(out + i + 8, a2);
+    _mm256_storeu_pd(out + i + 12, a3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, SquaredDistance4(points, stride, i, dim, center));
+  }
+  if (i < n) {
+    SquaredDistancesScalar(points + i, stride, n - i, dim, center, out + i);
+  }
+}
+
+__attribute__((target("avx2"))) void NearestCentersAvx2(
+    const double* points, size_t stride, size_t n, size_t dim,
+    const double* centers, size_t k, int32_t* nearest) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d best = _mm256_set1_pd(std::numeric_limits<double>::max());
+    __m256d best_c = _mm256_setzero_pd();
+    size_t c = 0;
+    for (; c + 4 <= k; c += 4) {
+      const double* c0 = centers + c * dim;
+      const double* c1 = c0 + dim;
+      const double* c2 = c1 + dim;
+      const double* c3 = c2 + dim;
+      __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+      for (size_t d = 0; d < dim; ++d) {
+        const __m256d x = _mm256_loadu_pd(points + d * stride + i);
+        const __m256d t0 = _mm256_sub_pd(x, _mm256_broadcast_sd(c0 + d));
+        const __m256d t1 = _mm256_sub_pd(x, _mm256_broadcast_sd(c1 + d));
+        const __m256d t2 = _mm256_sub_pd(x, _mm256_broadcast_sd(c2 + d));
+        const __m256d t3 = _mm256_sub_pd(x, _mm256_broadcast_sd(c3 + d));
+        a0 = _mm256_add_pd(a0, _mm256_mul_pd(t0, t0));
+        a1 = _mm256_add_pd(a1, _mm256_mul_pd(t1, t1));
+        a2 = _mm256_add_pd(a2, _mm256_mul_pd(t2, t2));
+        a3 = _mm256_add_pd(a3, _mm256_mul_pd(t3, t3));
+      }
+      TakeIfCloser(a0, c, &best, &best_c);
+      TakeIfCloser(a1, c + 1, &best, &best_c);
+      TakeIfCloser(a2, c + 2, &best, &best_c);
+      TakeIfCloser(a3, c + 3, &best, &best_c);
+    }
+    for (; c < k; ++c) {
+      TakeIfCloser(SquaredDistance4(points, stride, i, dim, centers + c * dim),
+                   c, &best, &best_c);
+    }
+    // Center indices are small integers, exact in doubles.
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(nearest + i),
+                     _mm256_cvttpd_epi32(best_c));
+  }
+  if (i < n) {
+    NearestCentersScalar(points + i, stride, n - i, dim, centers, k,
+                         nearest + i);
+  }
+}
+
 #endif  // x86
 
 }  // namespace ps3::runtime

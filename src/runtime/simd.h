@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace ps3::runtime {
 
@@ -183,6 +184,63 @@ inline void BitUnpackScalar(const uint8_t* packed, size_t n, unsigned width,
   }
 }
 
+// ---------------------------------------------------------------------
+// k-means distance kernels (cluster/kmeans).
+//
+// Points are dim-major with a stride: coordinate d of point i is
+// points[d * stride + i], so one 4-wide load holds coordinate d of four
+// consecutive points. Centers are point-major: coordinate d of center c
+// is centers[c * dim + d]. A squared distance is
+//   acc = 0.0; for d = 0..dim-1: diff = x[d] - center[d]; acc += diff*diff
+// -- one subtract, one multiply and one add per dimension, in dimension
+// order, with no FMA and no reassociation. The AVX2 variants run four
+// points side by side in that same order, so they match the scalar
+// references bit for bit. (The project builds without -mfma, so the
+// compiler cannot contract the multiply-add either.)
+
+/// Squared distance from point i to `center`, summed in the order above.
+inline double SquaredDistanceScalar(const double* points, size_t stride,
+                                    size_t i, size_t dim,
+                                    const double* center) {
+  double acc = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double diff = points[d * stride + i] - center[d];
+    acc += diff * diff;
+  }
+  return acc;
+}
+
+/// out[i] = squared distance from point i to `center`, for i < n.
+inline void SquaredDistancesScalar(const double* points, size_t stride,
+                                   size_t n, size_t dim,
+                                   const double* center, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = SquaredDistanceScalar(points, stride, i, dim, center);
+  }
+}
+
+/// nearest[i] = the center closest to point i, for i < n: the lowest
+/// index among the centers at the minimum distance. A point whose
+/// distances are all >= DBL_MAX (or NaN) gets center 0.
+inline void NearestCentersScalar(const double* points, size_t stride,
+                                 size_t n, size_t dim,
+                                 const double* centers, size_t k,
+                                 int32_t* nearest) {
+  for (size_t i = 0; i < n; ++i) {
+    double best = std::numeric_limits<double>::max();
+    int32_t best_c = 0;
+    for (size_t c = 0; c < k; ++c) {
+      const double d =
+          SquaredDistanceScalar(points, stride, i, dim, centers + c * dim);
+      if (d < best) {
+        best = d;
+        best_c = static_cast<int32_t>(c);
+      }
+    }
+    nearest[i] = best_c;
+  }
+}
+
 /// Readable slack the AVX2 unpack kernel requires *past* the packed
 /// payload: it 64-bit-gathers at byte granularity, so the last values'
 /// loads reach up to 7 bytes beyond their final bit. Callers (the
@@ -235,6 +293,19 @@ void BitUnpackAvx2(const uint8_t* packed, size_t n, unsigned width,
 /// Wrapping integer arithmetic — bit-identical to the scalar reference.
 void ForDeltaReconstructAvx2(const uint32_t* zz, size_t n, uint32_t base,
                              int32_t* out);
+
+/// AVX2 SquaredDistancesScalar: 16 points per pass in four independent
+/// accumulators, then 4 at a time; the last n % 4 points run the scalar
+/// reference.
+void SquaredDistancesAvx2(const double* points, size_t stride, size_t n,
+                          size_t dim, const double* center, double* out);
+
+/// AVX2 NearestCentersScalar: 4 points against 4 centers per pass (one
+/// point load feeds four accumulators), compared in center order so ties
+/// keep the lowest index; the last n % 4 points run the scalar reference.
+void NearestCentersAvx2(const double* points, size_t stride, size_t n,
+                        size_t dim, const double* centers, size_t k,
+                        int32_t* nearest);
 #endif
 
 /// Resolves kAuto against the host CPU.

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
 
 #include "core/cluster_select.h"
 #include "core/feature_selection.h"
@@ -550,11 +552,13 @@ TEST(FeatureSelection, NeverExcludesEverythingAndHelps) {
   auto eval_queries =
       SampleWithoutReplacement(f.data.num_queries(), 3, &rng);
   std::vector<bool> none(featurize::kNumStatKinds, false);
+  const auto normalized =
+      NormalizeQueries(f.data, f.model.normalizer, eval_queries);
   double with_all = EvaluateClusteringError(
-      f.ctx, f.data, f.model.normalizer, ClusterAlgo::kKMeans, none,
-      eval_queries, opts.budget_frac, opts.seed);
+      f.ctx, f.data, normalized, ClusterAlgo::kKMeans, none, eval_queries,
+      opts.budget_frac, opts.seed);
   double with_sel = EvaluateClusteringError(
-      f.ctx, f.data, f.model.normalizer, ClusterAlgo::kKMeans, excluded,
+      f.ctx, f.data, normalized, ClusterAlgo::kKMeans, excluded,
       eval_queries, opts.budget_frac, opts.seed);
   EXPECT_LE(with_sel, with_all + 1e-9);
 }
@@ -578,6 +582,102 @@ TEST(Outliers, NoneWithoutGroupBy) {
   std::vector<size_t> all{0, 1, 2, 3};
   Ps3Picker picker(f.ctx, &f.model);
   EXPECT_TRUE(picker.FindOutliers(q, all).empty());
+}
+
+/// FNV-1a over every Selection a picker makes for `queries` x budgets
+/// {2, 5, 10, 20}% x 3 seeds: partition ids and weight bits, in order.
+uint64_t PickHash(const PartitionPicker& picker,
+                  const std::vector<Query>& queries, size_t n_parts) {
+  uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (double frac : {0.02, 0.05, 0.1, 0.2}) {
+      const size_t budget = std::max<size_t>(
+          1, static_cast<size_t>(frac * static_cast<double>(n_parts) + 0.5));
+      for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        RandomEngine rng(seed * 7919 + qi);
+        Selection s = picker.Pick(queries[qi], budget, &rng, nullptr);
+        mix(s.parts.size());
+        for (const auto& wp : s.parts) {
+          uint64_t bits;
+          std::memcpy(&bits, &wp.weight, sizeof(bits));
+          mix(wp.partition);
+          mix(bits);
+        }
+      }
+    }
+  }
+  return h;
+}
+
+// Every pick must stay bit-identical across refactors of the picking path
+// (feature building, normalization, clustering kernels). The hashes were
+// recorded with the plain path: BuildFeatures + Apply per query and a
+// per-point SquaredL2 Lloyd loop. They assume x86-64 with glibc's libm
+// (log1p, cbrt); a libm that rounds differently needs them re-recorded
+// from that plain path.
+TEST(PickGolden, SelectionsMatchRecordedHashes) {
+  TrainedFixture f(16000, 100);
+  workload::QueryGenerator gen(f.table.get(), f.bundle.spec, {});
+  const std::vector<Query> queries = gen.GenerateSet(10, 4242);
+  const size_t n_parts = f.parts->num_partitions();
+
+  std::vector<std::pair<std::string, Ps3Model>> variants;
+  variants.emplace_back("default", f.model);
+  for (int lesion = 0; lesion < 3; ++lesion) {
+    Ps3Model model = f.model;
+    model.options.use_clustering = lesion != 0;
+    model.options.use_outliers = lesion != 1;
+    model.options.use_regressors = lesion != 2;
+    variants.emplace_back("lesion" + std::to_string(lesion),
+                          std::move(model));
+  }
+  {
+    // A clustering feature mask exercises the per-kind dimension filter.
+    Ps3Model model = f.model;
+    for (auto kind : {featurize::StatKind::kMean, featurize::StatKind::kNumDv,
+                      featurize::StatKind::kHhBitmap}) {
+      model.excluded_kinds[static_cast<size_t>(kind)] = true;
+    }
+    variants.emplace_back("excluded_kinds", std::move(model));
+  }
+  const std::map<std::string, uint64_t> golden = {
+      {"default", 0x0662a08996d1bfe8ULL},
+      {"lesion0", 0x570e050c929be7faULL},
+      {"lesion1", 0x43c5fa98c42e0eefULL},
+      {"lesion2", 0x07a614171df3b2a6ULL},
+      {"excluded_kinds", 0xd1666a09c6af8a65ULL},
+      {"lss", 0x8e836a4d87487355ULL},
+  };
+  for (const auto& [name, model] : variants) {
+    Ps3Picker picker(f.ctx, &model);
+    const uint64_t h = PickHash(picker, queries, n_parts);
+    EXPECT_EQ(h, golden.at(name)) << name << " 0x" << std::hex << h;
+  }
+  LssPicker lss(f.ctx, &f.lss);
+  const uint64_t h = PickHash(lss, queries, n_parts);
+  EXPECT_EQ(h, golden.at("lss")) << "lss 0x" << std::hex << h;
+}
+
+// Algorithm 3 scores candidate masks with the same clustering, so its
+// output mask is pinned too (recorded alongside the pick hashes).
+TEST(PickGolden, FeatureSelectionMaskMatchesRecorded) {
+  TrainedFixture f(16000, 100);
+  FeatureSelectionOptions opts;
+  opts.restarts = 2;
+  opts.eval_queries = 5;
+  const auto excluded = SelectClusterFeatures(
+      f.ctx, f.data, f.model.normalizer, ClusterAlgo::kKMeans, opts);
+  uint32_t mask = 0;
+  for (size_t k = 0; k < excluded.size(); ++k) {
+    if (excluded[k]) mask |= 1u << k;
+  }
+  EXPECT_EQ(mask, 0x1380u) << "0x" << std::hex << mask;
 }
 
 }  // namespace

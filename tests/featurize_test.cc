@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "featurize/featurizer.h"
@@ -307,6 +308,50 @@ TEST(Normalizer, TestTimeUsesTrainingScales) {
   FeatureNormalizer norm2;
   norm2.Fit(f.featurizer->feature_schema(), {&fm});
   EXPECT_EQ(scales, norm2.scales());
+}
+
+TEST(NormalizedFeatures, BuildEqualsBuildFeaturesThenApplyBitForBit) {
+  Fixture f;
+  Query sum_x;
+  sum_x.aggregates = {Aggregate::Sum(Expr::Column(0), "s")};
+  Query by_cat = sum_x;  // every column used, with a range predicate
+  by_cat.group_by = {2};
+  by_cat.predicate = Predicate::NumericCompare(1, CompareOp::kLt, 4.0);
+  Query count_z;  // column 1 only, a predicate that prunes partitions
+  count_z.aggregates = {Aggregate::Count()};
+  count_z.predicate = Predicate::NumericCompare(0, CompareOp::kGe, 1000.0);
+  Query bare;  // no column at all: every static feature masked
+  bare.aggregates = {Aggregate::Count()};
+  std::vector<Query> queries = {sum_x, by_cat, count_z, bare};
+  // Ranges that cut through partitions give fractional selectivities in
+  // all four selectivity features.
+  for (double cut : {150.0, 333.0, 777.0, 1111.0, 1390.0}) {
+    Query q = count_z;
+    q.predicate = Predicate::And(
+        {Predicate::NumericCompare(0, CompareOp::kLt, cut),
+         Predicate::NumericCompare(1, CompareOp::kGt, cut / 400.0)});
+    queries.push_back(std::move(q));
+  }
+
+  auto train_a = f.featurizer->BuildFeatures(sum_x);
+  auto train_b = f.featurizer->BuildFeatures(by_cat);
+  auto train_c = f.featurizer->BuildFeatures(queries.back());
+  FeatureNormalizer norm;
+  norm.Fit(f.featurizer->feature_schema(), {&train_a, &train_b, &train_c});
+  const NormalizedFeatures normalized(*f.featurizer, norm);
+  for (const Query& q : queries) {
+    FeatureMatrix want = f.featurizer->BuildFeatures(q);
+    norm.Apply(&want);
+    const FeatureMatrix got =
+        normalized.Build(q, f.featurizer->ComputeSelectivity(q));
+    ASSERT_EQ(got.n, want.n);
+    ASSERT_EQ(got.m, want.m);
+    // memcmp, not ==: a masked feature must be +0.0, as Apply makes it.
+    EXPECT_EQ(std::memcmp(got.data.data(), want.data.data(),
+                          want.data.size() * sizeof(double)),
+              0)
+        << q.ToString(f.table->schema());
+  }
 }
 
 }  // namespace
