@@ -1,7 +1,6 @@
 #include "eval/experiment.h"
 
 #include <cassert>
-#include <cstdlib>
 
 #include "core/labels.h"
 #include "core/ps3_trainer.h"
@@ -9,33 +8,6 @@
 #include "storage/partition_source.h"
 
 namespace ps3::eval {
-
-namespace {
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<size_t>(std::strtoull(v, nullptr, 10));
-}
-
-}  // namespace
-
-void ExperimentConfig::ApplyEnvOverrides() {
-  const char* fast = std::getenv("PS3_FAST");
-  if (fast != nullptr && *fast == '1') {
-    rows = 20000;
-    partitions = 128;
-    train_queries = 24;
-    test_queries = 10;
-    ps3.feature_selection.restarts = 1;
-    ps3.feature_selection.eval_queries = 4;
-    lss.eval_queries = 4;
-  }
-  rows = EnvSize("PS3_ROWS", rows);
-  partitions = EnvSize("PS3_PARTS", partitions);
-  train_queries = EnvSize("PS3_TRAINQ", train_queries);
-  test_queries = EnvSize("PS3_TESTQ", test_queries);
-}
 
 std::vector<double> DefaultBudgets() {
   return {0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8};

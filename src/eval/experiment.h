@@ -36,10 +36,6 @@ struct ExperimentConfig {
   core::Ps3Options ps3;
   core::LssOptions lss;
   workload::GeneratorOptions generator;
-
-  /// Applies PS3_FAST / PS3_ROWS / PS3_PARTS / PS3_TRAINQ / PS3_TESTQ
-  /// environment overrides for quick smoke runs.
-  void ApplyEnvOverrides();
 };
 
 /// One held-out test query with its cached exact evaluation.

@@ -43,22 +43,6 @@ PartitionCache::Entry& PartitionCache::InsertEntryLocked(
   return entries_.emplace(key, std::move(e)).first->second;
 }
 
-std::optional<ColumnPin> PartitionCache::AcquirePinned(const ColumnKey& key) {
-  std::shared_ptr<const CachedColumn> data;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      ++stats_.misses;
-      return std::nullopt;
-    }
-    ++stats_.hits;
-    PinLocked(&it->second);
-    data = it->second.data;
-  }
-  return MakePinned(key, std::move(data));
-}
-
 std::shared_ptr<const void> PartitionCache::AcquireManyPinned(
     const std::vector<ColumnKey>& keys,
     std::vector<std::shared_ptr<const CachedColumn>>* data) {

@@ -31,7 +31,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -82,9 +81,9 @@ struct ColumnKeyHash {
 /// the entry evictable again) when the last copy is destroyed.
 using ColumnPin = std::shared_ptr<const CachedColumn>;
 
-/// Point-in-time counters. hits/misses are AcquirePinned outcomes and
-/// inserts/evictions entry movements — all at column-segment granularity;
-/// bytes_pinned is included in bytes_cached.
+/// Point-in-time counters. hits/misses are AcquireManyPinned lookup
+/// outcomes and inserts/evictions entry movements — all at column-segment
+/// granularity; bytes_pinned is included in bytes_cached.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -103,11 +102,6 @@ class PartitionCache {
   PartitionCache& operator=(const PartitionCache&) = delete;
 
   size_t budget_bytes() const { return budget_; }
-
-  /// Looks up segment `key`. On a hit, pins the entry (non-evictable
-  /// while the returned token lives) and returns it; on a miss returns
-  /// nullopt.
-  std::optional<ColumnPin> AcquirePinned(const ColumnKey& key);
 
   /// Batched lookup: pins every cached segment among `keys` in a single
   /// critical section, filling (*data)[k] for hits (nullptr for misses),

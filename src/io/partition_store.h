@@ -245,10 +245,6 @@ class PartitionStore {
   /// empty without an injector). The degradation path plans around
   /// exactly this set.
   std::vector<size_t> LostPartitions() const;
-  /// The store's fault injector (null when no faults are configured).
-  const std::shared_ptr<FaultInjector>& fault_injector() const {
-    return options_.faults;
-  }
   /// Circuit-breaker state, for tests and ops introspection.
   CircuitBreaker::State breaker_state() const { return breaker_.state(); }
   /// Current hedge delay in microseconds: the configured fixed delay if

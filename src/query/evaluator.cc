@@ -493,42 +493,15 @@ size_t VectorScratchCreatedForTesting() {
 size_t CountMatchingRows(const PredicatePtr& pred,
                          const storage::PartitionedTable& table,
                          const ExecOptions& opts) {
-  const size_t n_parts = table.num_partitions();
-  std::vector<size_t> counts(n_parts, 0);
-  runtime::WorkerPool& pool = PoolOf(opts);
-  if (opts.policy == ExecPolicy::kScalar) {
-    const PredicatePtr& p = pred ? pred : Predicate::True();
-    pool.ParallelFor(
-        n_parts,
-        [&](size_t i) {
-          storage::Partition part = table.partition(i);
-          size_t c = 0;
-          for (size_t r = 0; r < part.num_rows(); ++r) {
-            if (p->Matches(part, r)) ++c;
-          }
-          counts[i] = c;
-        },
-        TaskOf(opts));
-  } else {
-    const PredProgram prog = CompilePredicate(pred);
-    pool.ParallelFor(
-        n_parts,
-        [&](size_t i) {
-          storage::Partition part = table.partition(i);
-          if (prog.always_true) {
-            counts[i] = part.num_rows();
-            return;
-          }
-          VectorScratch& s = pool.LocalScratch<VectorScratch>();
-          s.be.set_simd(opts.simd);
-          s.be.EvalPredicate(prog, part, &s.main);
-          counts[i] = s.main.CountOnes();
-        },
-        TaskOf(opts));
+  Query count;
+  count.aggregates.push_back(Aggregate::Count());
+  count.predicate = pred;
+  double total = 0.0;
+  for (const PartitionAnswer& part : EvaluateAllPartitions(
+           count, storage::ResidentShardedSource(table), opts)) {
+    for (const auto& [key, accs] : part) total += accs[0].count;
   }
-  size_t total = 0;
-  for (size_t c : counts) total += c;
-  return total;
+  return static_cast<size_t>(total);
 }
 
 double FinalizeAgg(AggFunc func, const AggAccum& acc) {

@@ -182,9 +182,9 @@ std::vector<PartitionAnswer> EvaluateAllPartitions(
 /// not grow between two queries on the same pool.
 size_t VectorScratchCreatedForTesting();
 
-/// Total rows matching `pred` over all partitions. The vectorized policy
-/// is a pure bitmap-popcount pass (no aggregation state); used for exact
-/// selectivity labeling. A null predicate counts every row.
+/// Total rows matching `pred` over all partitions: a COUNT(*) query with
+/// that predicate through EvaluateAllPartitions, summed over partitions.
+/// Used for exact selectivity labeling. A null predicate counts every row.
 size_t CountMatchingRows(const PredicatePtr& pred,
                          const storage::PartitionedTable& table,
                          const ExecOptions& opts = {});

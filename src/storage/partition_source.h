@@ -93,11 +93,6 @@ class PartitionSource {
     return Acquire(global_index, columns, ScanControl{});
   }
 
-  /// Unhinted acquire: every column materialized.
-  Result<PinnedPartition> Acquire(size_t global_index) const {
-    return Acquire(global_index, ColumnSet::All());
-  }
-
   /// Advisory: the scan cursor has entered shard `s` (fired once per
   /// shard per scan, from whichever lane gets there first, before that
   /// shard's first Acquire), and will read only `columns`. Out-of-core
@@ -117,8 +112,6 @@ class PartitionSource {
   virtual void WillScanShard(size_t s, const ColumnSet& columns) const {
     WillScanShard(s, columns, ScanControl{});
   }
-
-  void WillScanShard(size_t s) const { WillScanShard(s, ColumnSet::All()); }
 
   /// Advisory read-ahead hook with an *explicit* shard plan: the scan has
   /// entered plan[current] and will touch only `columns` of the plan's

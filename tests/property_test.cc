@@ -1082,7 +1082,24 @@ TEST(ApproximateServing, FullFractionUniformWeightsEqualsExact) {
   o.cache_budget_bytes = std::max<size_t>(fx.total_bytes / 5, 1);
   auto store = io::PartitionStore::Open(fx.dir, o);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
+  o.cache_budget_bytes = 16 * fx.total_bytes;
+  auto roomy = io::PartitionStore::Open(fx.dir, o);
+  ASSERT_TRUE(roomy.ok()) << roomy.status().ToString();
+  // The spill read on demand through a tight cache, and through a roomy
+  // one with the whole plan staged ahead on the prefetch lanes. Every
+  // prefetched scan starts cold, so staging has the plan to fetch.
+  io::PrefetchPipeline pipeline(roomy->get(), &scheduler);
   io::ColdShardedSource cold(store->get(), 4);
+  io::ColdShardedSource prefetched(roomy->get(), 4,
+                                   storage::ShardAssignment::kRange,
+                                   &pipeline);
+  auto scan_from = [&](const io::ColdShardedSource* src) {
+    if (src == &prefetched) {
+      pipeline.Drain();
+      (*roomy)->cache().Clear();
+    }
+    return src;
+  };
 
   for (size_t qi = 0; qi < fx.queries.size(); ++qi) {
     const query::Query& q = fx.queries[qi];
@@ -1095,25 +1112,35 @@ TEST(ApproximateServing, FullFractionUniformWeightsEqualsExact) {
           query::ExactAnswer(q, query::EvaluateAllPartitions(
                                     q, storage::ResidentShardedSource(*fx.pt),
                                     eopts));
-      // At fraction 1.0 the uniform budget covers every candidate, so
-      // both pickers return all partitions with weight 1 — the combine
-      // degenerates to ExactAnswer and the error estimate vanishes.
-      for (const core::PartitionPicker* picker :
-           {static_cast<const core::PartitionPicker*>(&exact_picker),
-            static_cast<const core::PartitionPicker*>(&random_picker)}) {
-        runtime::ApproxOptions aopts;
-        aopts.sampling_fraction = 1.0;
-        aopts.seed = 11 + qi;
-        runtime::ApproxAnswer ans =
-            scheduler.SubmitApproximate(q, cold, *picker, aopts, eopts).get();
-        ExpectQueryAnswerBits(exact, ans.value, picker->name().c_str());
-        EXPECT_EQ(ans.partitions_scanned, fx.pt->num_partitions());
-        for (const auto& [key, errs] : ans.error_estimate) {
-          for (double e : errs) EXPECT_EQ(e, 0.0);
+      for (const io::ColdShardedSource* src : {&cold, &prefetched}) {
+        const char* label = src == &cold ? "cold" : "prefetched";
+        ExpectQueryAnswerBits(
+            exact, scheduler.Submit(q, *scan_from(src), eopts).get(), label);
+        // At fraction 1.0 the uniform budget covers every candidate, so
+        // both pickers return all partitions with weight 1 — the combine
+        // degenerates to ExactAnswer and the error estimate vanishes.
+        for (const core::PartitionPicker* picker :
+             {static_cast<const core::PartitionPicker*>(&exact_picker),
+              static_cast<const core::PartitionPicker*>(&random_picker)}) {
+          SCOPED_TRACE(std::string(label) + " " + picker->name());
+          runtime::ApproxOptions aopts;
+          aopts.sampling_fraction = 1.0;
+          aopts.seed = 11 + qi;
+          runtime::ApproxAnswer ans =
+              scheduler
+                  .SubmitApproximate(q, *scan_from(src), *picker, aopts, eopts)
+                  .get();
+          ExpectQueryAnswerBits(exact, ans.value, picker->name().c_str());
+          EXPECT_EQ(ans.partitions_scanned, fx.pt->num_partitions());
+          for (const auto& [key, errs] : ans.error_estimate) {
+            for (double e : errs) EXPECT_EQ(e, 0.0);
+          }
         }
       }
     }
   }
+  pipeline.Drain();
+  EXPECT_GT(pipeline.stats().staged, 0u);
 }
 
 TEST(DegradedServing, BitIdenticalAcrossStoreConfigsAndPolicies) {

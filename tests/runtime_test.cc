@@ -9,7 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -392,70 +393,103 @@ TEST(WorkerPoolClasses, InteractiveAndBatchJobsBothComplete) {
   EXPECT_EQ(inter_done.load(), 2 * 6 * kN);
 }
 
-/// Runs `streams` identical concurrent submitters, each looping
-/// ParallelFor jobs of identical work for a fixed wall-clock window, and
-/// returns max/min of the per-stream completed-item counts — the
-/// per-stream throughput spread (the unit BENCH_PR5 reported the skew
-/// in). A windowed steady-state measure, so a brief OS preemption of one
-/// submitter washes out instead of deciding the verdict.
-double StreamSpread(size_t streams, int window_ms) {
-  runtime::WorkerPool pool(4);
-  constexpr size_t kN = 1024;
-  std::atomic<bool> stop{false};
-  std::vector<uint64_t> items(streams, 0);
-  std::vector<std::thread> submitters;
-  for (size_t s = 0; s < streams; ++s) {
-    submitters.emplace_back([&, s] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        pool.ParallelFor(kN, [](size_t) {
-          volatile double x = 1.0;
-          for (int k = 0; k < 60; ++k) x = x * 1.0000001;
-          (void)x;
-        });
-        items[s] += kN;
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(window_ms));
-  stop.store(true);
-  for (auto& t : submitters) t.join();
-  const auto [mn, mx] = std::minmax_element(items.begin(), items.end());
-  return *mn > 0 ? static_cast<double>(*mx) / static_cast<double>(*mn)
-                 : std::numeric_limits<double>::infinity();
+/// Replays a two-job contest on a pool with exactly one worker and
+/// returns the worker's pick sequence: the job index of every item it
+/// ran. Each job has 8 items and max_lanes = 2, so each chunk holds one
+/// item and only the job's submitter and the worker may serve it. Job 0
+/// is submitted first; the worker takes one of its items and parks there
+/// until job 1 is registered, and each submitter parks inside its own
+/// first item until the worker has run everything else. From the
+/// worker's release on, no other lane runs and no job arrives or leaves,
+/// so the pick policy alone fixes the sequence — a deterministic check
+/// of fairness, where a throughput ratio would only sample it.
+std::vector<int> WorkerPickSequence(QueryClass class0, QueryClass class1) {
+  constexpr size_t kItems = 8;
+  runtime::WorkerPool pool(2);  // the callers' lane plus one worker
+  std::mutex mu;
+  std::condition_variable cv;
+  std::thread::id submitter[2];
+  int submitters_parked = 0;
+  bool release_worker = false;
+  bool release_submitters = false;
+  std::vector<int> picks;
+
+  auto run_job = [&](int j, QueryClass query_class) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      submitter[j] = std::this_thread::get_id();
+    }
+    runtime::WorkerPool::TaskOptions topts;
+    topts.max_lanes = 2;
+    topts.query_class = query_class;
+    pool.ParallelFor(
+        kItems,
+        [&, j](size_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          if (std::this_thread::get_id() == submitter[j]) {
+            ++submitters_parked;
+            cv.notify_all();
+            cv.wait(lock, [&] { return release_submitters; });
+            return;
+          }
+          picks.push_back(j);
+          cv.notify_all();
+          if (picks.size() == 1) {
+            cv.wait(lock, [&] { return release_worker; });
+          }
+        },
+        topts);
+  };
+  auto await = [&](auto ready) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(30), ready);
+  };
+  auto release = [&](bool* flag) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      *flag = true;
+    }
+    cv.notify_all();
+  };
+
+  std::thread first(run_job, 0, class0);
+  EXPECT_TRUE(await([&] {
+    return picks.size() == 1 && submitters_parked == 1;
+  })) << "worker and first submitter never parked";
+  std::thread second(run_job, 1, class1);
+  EXPECT_TRUE(await([&] { return submitters_parked == 2; }))
+      << "second submitter never parked";
+  release(&release_worker);
+  EXPECT_TRUE(await([&] { return picks.size() == 2 * kItems - 2; }))
+      << "worker never ran the other items";
+  release(&release_submitters);
+  first.join();
+  second.join();
+  return picks;
 }
 
-// ThreadSanitizer's instrumentation slows and reshuffles thread timing
-// by ~10x, which turns this throughput-ratio assertion into a coin
-// flip; the races in the pick path are covered by the rest of the
-// suite, so the fairness property is only asserted uninstrumented.
-#if defined(__SANITIZE_THREAD__)
-#define PS3_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PS3_TSAN_BUILD 1
-#endif
-#endif
+TEST(WorkerPoolFairness, EqualJobsAlternateOnTheWorker) {
+  // Least-served-first: at the worker's release job 0 has run two items
+  // (the worker's and its submitter's) and job 1 one, so the worker picks
+  // job 1, then alternates, ties going to the earlier job. A pick in
+  // registry order, the old shared cursor's skew, runs job 0 dry first.
+  const std::vector<int> expected = {0, 1, 0, 1, 0, 1, 0, 1,
+                                     0, 1, 0, 1, 0, 1};
+  EXPECT_EQ(WorkerPickSequence(QueryClass::kBatch, QueryClass::kBatch),
+            expected);
+  EXPECT_EQ(WorkerPickSequence(QueryClass::kInteractive,
+                               QueryClass::kInteractive),
+            expected);
+}
 
-TEST(WorkerPoolFairness, EqualStreamsGetEqualServiceAtLowStreamCounts) {
-#ifdef PS3_TSAN_BUILD
-  GTEST_SKIP() << "throughput ratios are not meaningful under TSan timing";
-#endif
-  // Regression for the per-stream unfairness BENCH_PR5 exposed at 2
-  // streams (110M vs 65M rows/sec — a ~1.7x spread): the shared pick
-  // cursor was reset to the registry head on every job retirement, so
-  // under submit/finish churn whichever stream re-registered into the
-  // head slot was served first, round after round. Least-served-first
-  // picking is self-correcting, so equal streams must finish equal work
-  // in near-equal time. Best-of-rounds guards against one unlucky OS
-  // scheduling burst; the pre-fix skew was systematic and survived every
-  // round.
-  for (size_t streams : {size_t{2}, size_t{4}}) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int attempt = 0; attempt < 3 && best >= 1.5; ++attempt) {
-      best = std::min(best, StreamSpread(streams, /*window_ms=*/150));
-    }
-    EXPECT_LT(best, 1.5) << streams << " streams";
-  }
+TEST(WorkerPoolFairness, InteractiveWinsFourOfFiveContestedPicks) {
+  // Job 1 is interactive, job 0 batch: of every five picks while both
+  // have work, interactive takes four and batch the fifth, so batch
+  // progresses; once the interactive job is dry, batch runs alone.
+  const std::vector<int> expected = {0, 1, 1, 1, 1, 0, 1, 1,
+                                     1, 0, 0, 0, 0, 0};
+  EXPECT_EQ(WorkerPickSequence(QueryClass::kBatch, QueryClass::kInteractive),
+            expected);
 }
 
 struct CountingScratch {

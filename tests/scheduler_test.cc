@@ -564,65 +564,118 @@ std::string SpilledFixtureDir() {
   return *dir;
 }
 
-std::unique_ptr<io::PartitionStore> OpenFaulted(io::FaultPlan plan) {
+std::unique_ptr<io::PartitionStore> OpenFaulted(
+    io::FaultPlan plan, int max_attempts = 6,
+    const io::PartitionStore::Options::HedgeOptions& hedge = {}) {
   io::PartitionStore::Options opts;
   if (plan.AnyFaults()) {
     opts.faults = std::make_shared<io::FaultInjector>(std::move(plan));
   }
-  opts.retry.max_attempts = 6;
+  opts.retry.max_attempts = max_attempts;
   opts.retry.backoff_base_us = 50;
   opts.retry.backoff_cap_us = 500;
+  opts.hedge = hedge;
   auto store = io::PartitionStore::Open(SpilledFixtureDir(), opts);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(*store);
 }
 
 TEST(DegradedServing, ColdFaultyConcurrentBitIdenticalToSerial) {
-  // A 1% transient fault rate under the full concurrency battery: the
-  // retry loop must absorb every injected failure and each answer must
-  // stay bit-identical to the fault-free serial scalar reference —
-  // faults cost retries and latency, never bits.
+  // Faults cost retries, latency and — with retries off — failed
+  // queries, never bits: under the full concurrency battery each answer
+  // is bit-identical to the fault-free serial scalar reference, or its
+  // future throws. One store per configuration: transient errors
+  // absorbed by retries; latency spikes (and transient errors) raced by
+  // a fixed-delay hedge; the first plan again with retries off.
   StreamFixture& fx = Fixture();
-  io::FaultPlan plan;
-  plan.seed = 17;
-  plan.transient_rate = 0.01;
-  auto store = OpenFaulted(plan);
-  io::ColdShardedSource cold(store.get(), 4);
+  struct Case {
+    const char* name;
+    double transient_rate;
+    double latency_rate;
+    int max_attempts;
+    size_t hedge_delay_us;  // 0 = hedging off
+  };
+  const Case cases[] = {
+      {"retried", 0.01, 0.0, 6, 0},
+      {"hedged", 0.01, 0.2, 6, 2000},
+      {"retries_off", 0.01, 0.0, 1, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    io::FaultPlan plan;
+    plan.seed = 17;
+    plan.transient_rate = c.transient_rate;
+    plan.latency_rate = c.latency_rate;
+    // Spikes must dwarf the hedge delay, or the hedge never races.
+    plan.latency_spike_us = 20000;
+    io::PartitionStore::Options::HedgeOptions hedge;
+    hedge.enabled = c.hedge_delay_us > 0;
+    hedge.fixed_delay_us = c.hedge_delay_us;
+    auto store = OpenFaulted(plan, c.max_attempts, hedge);
+    io::ColdShardedSource cold(store.get(), 4);
 
-  runtime::QueryScheduler::Options sopts;
-  sopts.num_drivers = 4;
-  runtime::QueryScheduler scheduler(sopts);
-  constexpr size_t kSubmitters = 4;
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::vector<std::future<query::QueryAnswer>>> futures(
-        kSubmitters);
-    std::vector<std::thread> submitters;
-    for (size_t t = 0; t < kSubmitters; ++t) {
-      submitters.emplace_back([&, t] {
-        for (size_t i = t; i < fx.queries.size(); i += kSubmitters) {
-          query::ExecOptions opts;
-          opts.policy = i % 2 == 0 ? query::ExecPolicy::kScalar
-                                   : query::ExecPolicy::kVectorized;
-          opts.num_threads = 1 + static_cast<int>(i % 3);
-          futures[t].push_back(scheduler.Submit(fx.queries[i], cold, opts));
+    runtime::QueryScheduler::Options sopts;
+    sopts.num_drivers = 4;
+    runtime::QueryScheduler scheduler(sopts);
+    constexpr size_t kSubmitters = 4;
+    size_t failed = 0;
+    for (int round = 0; round < 3; ++round) {
+      std::vector<std::vector<std::future<query::QueryAnswer>>> futures(
+          kSubmitters);
+      std::vector<std::thread> submitters;
+      for (size_t t = 0; t < kSubmitters; ++t) {
+        submitters.emplace_back([&, t] {
+          for (size_t i = t; i < fx.queries.size(); i += kSubmitters) {
+            query::ExecOptions opts;
+            opts.policy = i % 2 == 0 ? query::ExecPolicy::kScalar
+                                     : query::ExecPolicy::kVectorized;
+            opts.num_threads = 1 + static_cast<int>(i % 3);
+            futures[t].push_back(scheduler.Submit(fx.queries[i], cold, opts));
+          }
+        });
+      }
+      for (auto& s : submitters) s.join();
+      for (size_t t = 0; t < kSubmitters; ++t) {
+        size_t k = 0;
+        for (size_t i = t; i < fx.queries.size(); i += kSubmitters, ++k) {
+          query::QueryAnswer answer;
+          try {
+            answer = futures[t][k].get();
+          } catch (const std::runtime_error& e) {
+            // A load that ran out of attempts surfaces its Status.
+            EXPECT_EQ(std::string(e.what()).rfind("Unavailable", 0), 0u)
+                << e.what();
+            ++failed;
+            continue;
+          }
+          ExpectAnswerBitIdentical(fx.serial[i], answer, c.name);
         }
-      });
-    }
-    for (auto& s : submitters) s.join();
-    for (size_t t = 0; t < kSubmitters; ++t) {
-      size_t k = 0;
-      for (size_t i = t; i < fx.queries.size(); i += kSubmitters, ++k) {
-        ExpectAnswerBitIdentical(fx.serial[i], futures[t][k].get(),
-                                 "cold-faulty");
       }
     }
+    const io::StoreStats stats = store->store_stats();
+    if (c.hedge_delay_us > 0) {
+      // Spikes outlast the hedge delay, so duplicate reads raced them.
+      EXPECT_GT(stats.hedged_loads, 0u);
+    } else {
+      // The plan fired over this many cold segment reads.
+      EXPECT_GT(stats.transient_errors, 0u);
+      EXPECT_EQ(stats.hedged_loads, 0u);
+    }
+    if (c.max_attempts > 1) {
+      // Retries absorbed everything the plan threw.
+      EXPECT_EQ(failed, 0u);
+      EXPECT_EQ(stats.load_errors, 0u);
+      if (c.hedge_delay_us == 0) {
+        EXPECT_EQ(stats.transient_errors, stats.retries);
+      }
+    } else {
+      // Retries off: a transient error fails its query, never its bits.
+      EXPECT_GT(failed, 0u);
+      EXPECT_LT(failed, 3 * fx.queries.size());
+      EXPECT_GT(stats.load_errors, 0u);
+      EXPECT_EQ(stats.retries, 0u);
+    }
   }
-  // The plan actually fired (1% over this many cold segment reads) and
-  // everything it threw was absorbed by retries.
-  const io::StoreStats stats = store->store_stats();
-  EXPECT_GT(stats.transient_errors, 0u);
-  EXPECT_EQ(stats.transient_errors, stats.retries);
-  EXPECT_EQ(stats.load_errors, 0u);
 }
 
 TEST(DegradedServing, ExactSubmitFailsFastNamingLostPartitions) {
