@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <thread>
 
 #include "common/hash.h"
 
 namespace ps3 {
+
+namespace {
+
+/// Seeds the deterministic jitter hash.
+constexpr uint64_t kJitterSeed = 0x9E3779B9;
+
+}  // namespace
 
 size_t BackoffUs(const RetryPolicy& policy, int retry, uint64_t salt) {
   if (retry < 1) return 0;
@@ -16,7 +24,7 @@ size_t BackoffUs(const RetryPolicy& policy, int retry, uint64_t salt) {
   if (policy.jitter_fraction > 0.0) {
     // u in [0, 1) from the top 53 bits of a (seed, salt, retry) hash —
     // a pure function of the policy, so replays are bit-identical.
-    uint64_t h = Mix64(policy.jitter_seed ^ Mix64(salt) ^
+    uint64_t h = Mix64(kJitterSeed ^ Mix64(salt) ^
                        Mix64(static_cast<uint64_t>(retry)));
     double u = static_cast<double>(h >> 11) * 0x1.0p-53;
     backoff *= 1.0 + policy.jitter_fraction * u;
@@ -24,23 +32,24 @@ size_t BackoffUs(const RetryPolicy& policy, int retry, uint64_t salt) {
   return static_cast<size_t>(backoff);
 }
 
-Status SleepWithCancel(size_t us, const CancelToken* cancel) {
+Status SleepWithCancel(size_t us, const CancelToken* cancel,
+                       const CancelToken* stop) {
   // Same 200us slice the store's single-flight wait uses: fine enough
-  // that a fired deadline stops a backoff almost immediately, coarse
+  // that a fired deadline stops a sleep almost immediately, coarse
   // enough to stay off the scheduler's back.
   constexpr size_t kSliceUs = 200;
   size_t remaining = us;
-  while (remaining > 0) {
-    if (cancel != nullptr) {
-      Status aborted = cancel->Check();
-      if (!aborted.ok()) return aborted;
+  for (;;) {
+    for (const CancelToken* token : {cancel, stop}) {
+      if (token == nullptr) continue;
+      Status live = token->Check();
+      if (!live.ok()) return live;
     }
-    size_t step = std::min(remaining, kSliceUs);
+    if (remaining == 0) return Status::OK();
+    const size_t step = std::min(remaining, kSliceUs);
     std::this_thread::sleep_for(std::chrono::microseconds(step));
     remaining -= step;
   }
-  if (cancel != nullptr) return cancel->Check();
-  return Status::OK();
 }
 
 bool CircuitBreaker::Admit(bool* claimed_probe) {

@@ -7,12 +7,12 @@
 // or runtime/.
 //
 // Everything is deterministic by construction: backoff jitter is a hash
-// of (seed, salt, attempt) — not a live RNG — so the same retry policy
-// replays the same sleep schedule, which is what lets the fault-injection
-// tests assert timing-adjacent behavior without flaking. Backoff sleeps
-// are cooperative: SleepWithCancel polls the query's CancelToken in
-// slices, so a retry loop can never outlive the query's deadline by more
-// than one poll period.
+// of (salt, attempt) under a fixed seed — not a live RNG — so the same
+// retry policy replays the same sleep schedule, which is what lets the
+// fault-injection tests assert timing-adjacent behavior without
+// flaking. Backoff sleeps are cooperative: SleepWithCancel polls the
+// query's CancelToken in slices, so a retry loop can never outlive the
+// query's deadline by more than one poll period.
 #ifndef PS3_COMMON_RETRY_H_
 #define PS3_COMMON_RETRY_H_
 
@@ -43,19 +43,13 @@ struct RetryPolicy {
   size_t backoff_cap_us = 20000;
   /// Jitter as a fraction of the computed backoff, in [0, 1]: the actual
   /// sleep is backoff * (1 + jitter_fraction * u) where u in [0, 1) is a
-  /// hash of (jitter_seed, salt, attempt). 0 disables jitter.
+  /// fixed-seed hash of (salt, attempt), so the same salts give a
+  /// bit-identical backoff schedule. 0 disables jitter.
   double jitter_fraction = 0.25;
-  /// Seeds the deterministic jitter hash. Same seed + same salts =>
-  /// bit-identical backoff schedule.
-  uint64_t jitter_seed = 0x9E3779B9;
   /// Wall-clock budget for retrying one load step, backoffs included;
   /// once exceeded the last error surfaces. 0 = unlimited (the query's
   /// own deadline still bounds everything via the CancelToken).
   size_t retry_time_budget_us = 500000;
-  /// Budget of *extra* encoded bytes retries may re-read per load step
-  /// (attempt 1 is free; each retry charges the pass's encoded size).
-  /// 0 = unlimited.
-  size_t retry_byte_budget = 0;
 };
 
 /// Deterministic backoff for retry number `retry` (1 = first re-attempt):
@@ -64,11 +58,13 @@ struct RetryPolicy {
 /// jitters decorrelate without sharing any RNG state.
 size_t BackoffUs(const RetryPolicy& policy, int retry, uint64_t salt);
 
-/// Sleeps `us` microseconds in short slices, polling `cancel` (nullable)
-/// between slices. Returns OK after a full sleep, or the token's Status
-/// as soon as it fires — a backoff can overshoot a deadline by at most
-/// one slice.
-Status SleepWithCancel(size_t us, const CancelToken* cancel);
+/// Sleeps `us` microseconds in short slices, polling `cancel` and `stop`
+/// (both nullable; `stop` is e.g. a hedge racer's local token) before
+/// each slice and once at the end. Returns OK after a full sleep, or the
+/// first fired token's Status — a sleep can overshoot a deadline by at
+/// most one slice.
+Status SleepWithCancel(size_t us, const CancelToken* cancel,
+                       const CancelToken* stop = nullptr);
 
 /// Circuit-breaker policy for one store. The breaker sits *above* the
 /// retry loop: it counts load steps that failed after exhausting their

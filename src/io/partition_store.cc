@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
-#include <thread>
 
 #include "common/hash.h"
 #include "common/math_util.h"
@@ -22,6 +21,8 @@ constexpr uint32_t kManifestMagic = 0x4D335350;  // "PS3M"
 constexpr uint32_t kManifestVersion = 2;
 constexpr uint32_t kManifestVersionV1 = 1;
 constexpr const char* kManifestName = "manifest.ps3m";
+/// Floor for the adaptive hedge delay.
+constexpr size_t kMinHedgeDelayUs = 500;
 
 std::string JoinPath(const std::string& dir, const std::string& name) {
   if (dir.empty() || dir.back() == '/') return dir + name;
@@ -44,29 +45,6 @@ Status EnsureDir(const std::string& dir) {
 bool IsAbort(const Status& s) {
   return s.code() == StatusCode::kCancelled ||
          s.code() == StatusCode::kDeadlineExceeded;
-}
-
-/// Sliced sleep polling *two* nullable tokens: the query's own cancel
-/// and the hedge racer's local stop. Either firing aborts the sleep with
-/// its Status.
-Status SleepWithTokens(size_t us, const CancelToken* cancel,
-                       const CancelToken* hedge_stop) {
-  constexpr size_t kSliceUs = 200;
-  size_t remaining = us;
-  for (;;) {
-    if (cancel != nullptr) {
-      Status live = cancel->Check();
-      if (!live.ok()) return live;
-    }
-    if (hedge_stop != nullptr) {
-      Status live = hedge_stop->Check();
-      if (!live.ok()) return live;
-    }
-    if (remaining == 0) return Status::OK();
-    const size_t step = std::min(remaining, kSliceUs);
-    std::this_thread::sleep_for(std::chrono::microseconds(step));
-    remaining -= step;
-  }
 }
 
 }  // namespace
@@ -318,11 +296,11 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumnsOnce(
     delay_us += encoded_columns_bytes(i, cols) * 8 /
                 options_.simulated_load_bandwidth_mbps;
   }
-  PS3_RETURN_IF_ERROR(SleepWithTokens(delay_us, cancel, hedge_stop));
+  PS3_RETURN_IF_ERROR(SleepWithCancel(delay_us, cancel, hedge_stop));
 
   // A transient fault fails *after* the latency is paid — the bytes
   // moved and were dropped, which is why transient retries cost real
-  // time and why the retry byte budget charges them.
+  // time.
   if (transient) {
     return Status::Unavailable(
         "injected transient read error (partition " + std::to_string(i) +
@@ -402,7 +380,7 @@ size_t PartitionStore::HedgeDelayUs() const {
   if (mean == 0) return 0;  // no sample yet: don't hedge blind
   const uint64_t dev = load_dev_ewma_us_.load(std::memory_order_relaxed);
   const uint64_t p99 = mean + 3 * dev;
-  return std::clamp(static_cast<size_t>(p99), options_.hedge.min_delay_us,
+  return std::clamp(static_cast<size_t>(p99), kMinHedgeDelayUs,
                     options_.hedge.max_delay_us);
 }
 
@@ -410,7 +388,7 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadPass(
     size_t i, const std::vector<size_t>& cols, const CancelToken* cancel) {
   // Last poll before the expensive part: a query cancelled (or expired)
   // by now skips the simulated RTT, the read, and the fault draw.
-  PS3_RETURN_IF_ERROR(SleepWithTokens(0, cancel, nullptr));
+  PS3_RETURN_IF_ERROR(SleepWithCancel(0, cancel));
   // Every racer's fault attempts are drawn here, on the calling thread
   // in launch order — never on a racer's own thread — so which racer
   // meets which attempt is a pure function of the plan, not of thread
@@ -525,10 +503,8 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumns(
 
   const RetryPolicy& retry = options_.retry;
   const auto start = std::chrono::steady_clock::now();
-  const size_t pass_bytes = encoded_columns_bytes(i, cols);
   const int max_attempts = std::max(1, retry.max_attempts);
   bool corrupt_refetched = false;
-  size_t retry_bytes = 0;
   Status last;
   for (int attempt = 1;;) {
     auto loaded = LoadPass(i, cols, cancel);
@@ -561,8 +537,7 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumns(
         ++store_stats_.transient_errors;
       }
       if (attempt >= max_attempts) break;
-      // Retry budgets: wall-clock including backoffs, and extra encoded
-      // bytes re-read (the first attempt is free).
+      // Retry budget: wall-clock, backoffs included.
       if (retry.retry_time_budget_us > 0 &&
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - start)
@@ -570,11 +545,6 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumns(
               static_cast<int64_t>(retry.retry_time_budget_us)) {
         break;
       }
-      if (retry.retry_byte_budget > 0 &&
-          retry_bytes + pass_bytes > retry.retry_byte_budget) {
-        break;
-      }
-      retry_bytes += pass_bytes;
       const size_t backoff_us = BackoffUs(
           retry, attempt, HashCombine(static_cast<uint64_t>(i),
                                       cols.empty() ? 0 : cols.front()));

@@ -143,8 +143,7 @@ class PartitionStore {
       /// Fixed hedge delay; 0 derives the delay from the store's load
       /// latency EWMA (~p99: mean + 3 * mean absolute deviation).
       size_t fixed_delay_us = 0;
-      /// Clamp for the adaptive delay.
-      size_t min_delay_us = 500;
+      /// Ceiling for the adaptive delay (its floor is a fixed 500 us).
       size_t max_delay_us = 100000;
     };
     HedgeOptions hedge;

@@ -36,10 +36,9 @@ PrefetchPipeline::PrefetchPipeline(PartitionStore* store,
       batch_share_(1.0 - std::clamp(options.interactive_reserve_fraction,
                                     0.0, 1.0)) {
   (void)scheduler;
-  const int lanes = std::max(1, options.load_lanes);
   try {
-    lanes_.reserve(static_cast<size_t>(lanes));
-    for (int i = 0; i < lanes; ++i) {
+    lanes_.reserve(kLoadLanes);
+    for (int i = 0; i < kLoadLanes; ++i) {
       lanes_.emplace_back([this] { LaneLoop(); });
     }
   } catch (...) {

@@ -4,7 +4,7 @@
 // A picked query fixes every partition it will read before any byte
 // moves, so on a remote store the whole plan can be fetched at once
 // instead of a few partitions per scan lane. The pipeline owns
-// Options::load_lanes threads that do nothing but run staged loads
+// kLoadLanes threads that do nothing but run staged loads
 // (PartitionStore::Preload of the *hinted column segments*), fed by two
 // FIFO queues: interactive loads are served before batch ones. Loads
 // sleep through the store's simulated round trip on those lanes, so read
@@ -62,12 +62,13 @@ namespace ps3::io {
 
 class PrefetchPipeline {
  public:
+  /// IO lanes: threads owned by the pipeline that run staged loads.
+  /// Loads are latency-bound (they sleep through the store's round trip),
+  /// so many more lanes than cores is cheap; the lane count also bounds
+  /// the bytes in flight on the link.
+  static constexpr int kLoadLanes = 16;
+
   struct Options {
-    /// IO lanes: threads owned by the pipeline that run staged loads.
-    /// Loads are latency-bound (they sleep through the store's round
-    /// trip), so many more lanes than cores is cheap; the lane count also
-    /// bounds the bytes in flight on the link. Values < 1 mean 1.
-    int load_lanes = 16;
     /// Share of the evictable headroom kept for interactive staging:
     /// batch staging stops once admitted bytes reach (1 - fraction) of
     /// it, while interactive staging may use all of it. This is the

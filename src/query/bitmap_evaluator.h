@@ -23,9 +23,9 @@ class BitmapEvaluator {
     use_avx2_ = runtime::UseAvx2(level);
   }
 
-  /// The resolved kernel tier; the evaluator's SIMD-assisted grouped
-  /// aggregation keys off the same dispatch decision as the predicate
-  /// kernels.
+  /// The resolved kernel tier; the evaluator's grouped loop picks its
+  /// dense group-id kernel (DenseGroupIdsAvx2 or the scalar reference)
+  /// by the same dispatch decision as the predicate kernels.
   bool use_avx2() const { return use_avx2_; }
 
   /// Runs `prog` over all rows of `part`; `out` ends with bit r set iff

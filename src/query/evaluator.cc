@@ -33,7 +33,7 @@ int64_t EncodeGroupValue(const storage::Partition& part, size_t col,
 // Vectorized execution.
 
 /// Cap on the dense group-id space (product of GROUP BY dictionary sizes).
-/// Above this the engine falls back to hash-probing over set bits only.
+/// Above this the grouped loop numbers its groups through the key hash.
 constexpr size_t kMaxDenseGroups = size_t{1} << 20;
 
 /// Dense expression materialization threshold: below this selected-row
@@ -42,6 +42,16 @@ constexpr size_t kMaxDenseGroups = size_t{1} << 20;
 constexpr double kDenseExprFraction = 0.25;
 
 std::atomic<size_t> g_vector_scratch_created{0};
+
+/// Sum of values[r] over the set bits of `bits`, in ascending row order.
+/// Kept out of line: inlined into EvaluateVectorized, GCC keeps the
+/// running sum on the stack and the loop runs at half speed.
+__attribute__((noinline)) double OrderedSum(const SelectionBitmap& bits,
+                                            const double* values) {
+  double sum = 0.0;
+  bits.ForEachSetBit([&](size_t r) { sum += values[r]; });
+  return sum;
+}
 
 /// Per-lane scratch, owned by the executing WorkerPool (resident workers
 /// keep their slot alive across ParallelFor calls, so bitmaps, expression
@@ -54,23 +64,18 @@ struct VectorScratch {
   SelectionBitmap main;
   std::vector<SelectionBitmap> agg_bitmaps;
   std::vector<std::vector<double>> agg_values;
-  std::vector<int32_t> slot_of;  ///< group id -> dense slot, -1 = unseen
-  std::vector<size_t> touched;   ///< ids to reset after each partition
   std::vector<const double*> agg_ptr;  ///< dense expr values per aggregate
-  // Dense group-id path containers, reused (cleared, not reconstructed)
-  // across partitions.
+  // Grouped-loop containers, reused (cleared, not reconstructed) across
+  // partitions.
+  std::vector<uint32_t> row_idx;    ///< selected rows, ascending
+  std::vector<uint32_t> row_slot;   ///< group slot of each selected row
   std::vector<const int32_t*> gcodes;
-  std::vector<size_t> strides;
-  std::vector<GroupKey> keys;
-  std::vector<std::vector<AggAccum>> groups;
-  // SIMD-assisted grouped-aggregation staging: selected row indices,
-  // their dense group ids, and per-aggregate gathered values (the AVX2
-  // gather kernels fill these; the FP accumulate stays scalar in row
-  // order, which is what keeps answers bit-identical to kScalar).
-  std::vector<uint32_t> row_idx;
-  std::vector<uint32_t> group_ids;
-  std::vector<uint32_t> strides32;
-  std::vector<std::vector<double>> gathered;
+  std::vector<uint32_t> strides;
+  std::vector<int32_t> slot_of;  ///< dense group id -> slot, -1 = unseen
+  std::vector<size_t> touched;   ///< dense ids to reset after each partition
+  std::unordered_map<GroupKey, uint32_t, GroupKeyHash> slot_index;
+  std::vector<GroupKey> keys;  ///< group key of each slot
+  std::vector<AggAccum> accs;  ///< n_aggs accumulators per slot
 };
 
 /// Resolves the pool an ExecOptions runs on.
@@ -135,16 +140,12 @@ PartitionAnswer EvaluateVectorized(const CompiledQuery& cq,
                       : s->be.EvalExprAt(cq.aggregates[a].expr, part, r);
   };
 
-  // ---- single-group fast path (no GROUP BY): bulk count + ordered sum;
-  // MIN/MAX reduce through the lane-parallel gather kernels when the
-  // aggregate is unfiltered over dense-materialized values (extrema are
-  // order-insensitive on NaN-free data, so lanes are safe where SUM
-  // would not be — see runtime/simd.h).
+  // ---- no GROUP BY: COUNT by popcount, one ordered sum per aggregate,
+  // MIN/MAX folded per row.
   if (cq.group_by.empty()) {
     auto [it, inserted] = answer.try_emplace(GroupKey{});
     (void)inserted;
     it->second.resize(n_aggs);
-    bool rows_built = false;
     for (size_t a = 0; a < n_aggs; ++a) {
       const CompiledAggregate& ca = cq.aggregates[a];
       const SelectionBitmap& eff =
@@ -155,68 +156,36 @@ PartitionAnswer EvaluateVectorized(const CompiledQuery& cq,
       if (ca.has_expr) {
         double sum = 0.0;
         if (dense_expr) {
-          const double* vals = s->agg_ptr[a];
-          eff.ForEachSetBit([&](size_t r) { sum += vals[r]; });
+          sum = OrderedSum(eff, s->agg_ptr[a]);
         } else {
           eff.ForEachSetBit(
               [&](size_t r) { sum += s->be.EvalExprAt(ca.expr, part, r); });
         }
         acc.sum = sum;
         if (ca.func == AggFunc::kMin || ca.func == AggFunc::kMax) {
-#if defined(__x86_64__) || defined(__i386__)
-          if (!ca.has_filter && dense_expr && s->be.use_avx2()) {
-            if (!rows_built) {
-              s->row_idx.resize(selected);
-              size_t w = 0;
-              s->main.ForEachSetBit([&](size_t r) {
-                s->row_idx[w++] = static_cast<uint32_t>(r);
-              });
-              rows_built = true;
-            }
-            double mn = runtime::MinGatherAvx2(s->agg_ptr[a],
-                                               s->row_idx.data(), selected);
-            double mx = runtime::MaxGatherAvx2(s->agg_ptr[a],
-                                               s->row_idx.data(), selected);
-            // Canonicalizing the reduced extrema (not each lane) is
-            // equivalent to the scalar per-row fold: signed zeros only
-            // ever tie with each other.
-            if (mn == 0.0) mn = 0.0;
-            if (mx == 0.0) mx = 0.0;
-            if (mn < acc.min) acc.min = mn;
-            if (mx > acc.max) acc.max = mx;
-          } else
-#endif
-          {
-            eff.ForEachSetBit(
-                [&](size_t r) { acc.FoldExtrema(expr_value(a, r)); });
-          }
+          eff.ForEachSetBit(
+              [&](size_t r) { acc.FoldExtrema(expr_value(a, r)); });
         }
       }
     }
     return answer;
   }
 
-  // Row-wise accumulation shared by both grouped paths; iteration over set
-  // bits in ascending row order keeps every accumulator bit-identical to
-  // the scalar loop.
-  auto accumulate = [&](std::vector<AggAccum>& accs, size_t r) {
-    for (size_t a = 0; a < n_aggs; ++a) {
-      const CompiledAggregate& ca = cq.aggregates[a];
-      if (ca.has_filter && !s->agg_bitmaps[a].Test(r)) continue;
-      AggAccum& acc = accs[a];
-      acc.count += 1.0;
-      if (ca.has_expr) {
-        const double v = expr_value(a, r);
-        acc.sum += v;
-        if (ca.func == AggFunc::kMin || ca.func == AggFunc::kMax) {
-          acc.FoldExtrema(v);
-        }
-      }
-    }
-  };
+  // ---- GROUP BY: one loop in three steps.
+  // 1. Expand the selection once into ascending row indices.
+  s->row_idx.resize(selected);
+  s->row_slot.resize(selected);
+  size_t w = 0;
+  s->main.ForEachSetBit(
+      [&](size_t r) { s->row_idx[w++] = static_cast<uint32_t>(r); });
+  const uint32_t* rows = s->row_idx.data();
+  uint32_t* row_slot = s->row_slot.data();
 
-  // ---- dictionary-coded dense group-id path: all GROUP BY columns
-  // categorical and the id space (product of dictionary sizes) small.
+  // 2. Give each selected row a group slot, numbered in first-seen order.
+  // All-categorical GROUP BYs whose id space (product of dictionary sizes)
+  // fits kMaxDenseGroups get dense ids from the code-gather kernel, mapped
+  // to slots through slot_of; every other GROUP BY hashes its key.
+  const size_t n_gcols = cq.group_by.size();
   const auto& schema = part.table().schema();
   bool dense_groups = true;
   size_t space = 1;
@@ -232,125 +201,89 @@ PartitionAnswer EvaluateVectorized(const CompiledQuery& cq,
       dense_groups = false;
       break;
     }
-    s->strides.push_back(space);
+    s->strides.push_back(static_cast<uint32_t>(space));
     space *= dict_size;
     s->gcodes.push_back(part.CodeSpan(col));
   }
-
+  s->keys.clear();
   if (dense_groups) {
-    if (s->slot_of.size() < space) s->slot_of.resize(space, -1);
-    s->keys.clear();
-    s->groups.clear();
     const int32_t* const* gcodes = s->gcodes.data();
-    const size_t* strides = s->strides.data();
-    const size_t n_gcols = s->gcodes.size();
-
 #if defined(__x86_64__) || defined(__i386__)
-    // SIMD-assisted variant: expand the selection once, compute every
-    // selected row's dense group id with the AVX2 code-gather kernel, and
-    // compact each aggregate's expression values with the AVX2 value
-    // gather — then run a tight *scalar* accumulate in ascending row
-    // order. Only data movement and integer id math are vectorized; every
-    // FP addition happens in the same order as the scalar reference, so
-    // answers stay bit-identical. Engaged only when no aggregate carries
-    // a CASE filter (their bitmaps would need per-row tests anyway) and
-    // expression values are dense-materialized; sparse selections skip it
-    // — the setup wouldn't amortize.
-    bool simd_groups = s->be.use_avx2() && selected >= 64;
-    for (size_t a = 0; simd_groups && a < n_aggs; ++a) {
-      const CompiledAggregate& ca = cq.aggregates[a];
-      if (ca.has_filter || (ca.has_expr && !dense_expr)) simd_groups = false;
+    if (s->be.use_avx2()) {
+      runtime::DenseGroupIdsAvx2(gcodes, s->strides.data(), n_gcols, rows,
+                                 selected, row_slot);
+    } else
+#endif
+    {
+      runtime::DenseGroupIdsScalar(gcodes, s->strides.data(), n_gcols, rows,
+                                   selected, row_slot);
     }
-    if (simd_groups) {
-      s->row_idx.resize(selected);
-      size_t w = 0;
-      s->main.ForEachSetBit(
-          [&](size_t r) { s->row_idx[w++] = static_cast<uint32_t>(r); });
-      s->strides32.assign(s->strides.begin(), s->strides.end());
-      s->group_ids.resize(selected);
-      runtime::DenseGroupIdsAvx2(gcodes, s->strides32.data(), n_gcols,
-                                 s->row_idx.data(), selected,
-                                 s->group_ids.data());
-      if (s->gathered.size() < n_aggs) s->gathered.resize(n_aggs);
-      for (size_t a = 0; a < n_aggs; ++a) {
-        if (!cq.aggregates[a].has_expr) continue;
-        s->gathered[a].resize(selected);
-        runtime::GatherDoublesAvx2(s->agg_ptr[a], s->row_idx.data(),
-                                   selected, s->gathered[a].data());
-      }
-      for (size_t k = 0; k < selected; ++k) {
-        const uint32_t id = s->group_ids[k];
-        int32_t slot = s->slot_of[id];
-        if (slot < 0) {
-          slot = static_cast<int32_t>(s->groups.size());
-          s->slot_of[id] = slot;
-          s->touched.push_back(id);
-          const size_t r = s->row_idx[k];
-          GroupKey key(n_gcols);
-          for (size_t g = 0; g < n_gcols; ++g) key[g] = gcodes[g][r];
-          s->keys.push_back(std::move(key));
-          s->groups.emplace_back(n_aggs);
-        }
-        std::vector<AggAccum>& accs = s->groups[static_cast<size_t>(slot)];
-        for (size_t a = 0; a < n_aggs; ++a) {
-          const CompiledAggregate& ca = cq.aggregates[a];
-          AggAccum& acc = accs[a];
-          acc.count += 1.0;
-          if (ca.has_expr) {
-            const double v = s->gathered[a][k];
-            acc.sum += v;
-            if (ca.func == AggFunc::kMin || ca.func == AggFunc::kMax) {
-              acc.FoldExtrema(v);
-            }
-          }
-        }
-      }
-      for (size_t id : s->touched) s->slot_of[id] = -1;
-      s->touched.clear();
-      answer.reserve(s->groups.size());
-      for (size_t i = 0; i < s->groups.size(); ++i) {
-        answer.emplace(std::move(s->keys[i]), std::move(s->groups[i]));
-      }
-      return answer;
-    }
-#endif  // x86
-
-    s->main.ForEachSetBit([&](size_t r) {
-      size_t id = 0;
-      for (size_t g = 0; g < n_gcols; ++g) {
-        id += static_cast<size_t>(gcodes[g][r]) * strides[g];
-      }
+    if (s->slot_of.size() < space) s->slot_of.resize(space, -1);
+    for (size_t k = 0; k < selected; ++k) {
+      const uint32_t id = row_slot[k];
       int32_t slot = s->slot_of[id];
       if (slot < 0) {
-        slot = static_cast<int32_t>(s->groups.size());
+        slot = static_cast<int32_t>(s->keys.size());
         s->slot_of[id] = slot;
         s->touched.push_back(id);
         GroupKey key(n_gcols);
-        for (size_t g = 0; g < n_gcols; ++g) key[g] = gcodes[g][r];
+        for (size_t g = 0; g < n_gcols; ++g) key[g] = gcodes[g][rows[k]];
         s->keys.push_back(std::move(key));
-        s->groups.emplace_back(n_aggs);
       }
-      accumulate(s->groups[static_cast<size_t>(slot)], r);
-    });
+      row_slot[k] = static_cast<uint32_t>(slot);
+    }
     for (size_t id : s->touched) s->slot_of[id] = -1;
     s->touched.clear();
-    answer.reserve(s->groups.size());
-    for (size_t i = 0; i < s->groups.size(); ++i) {
-      answer.emplace(std::move(s->keys[i]), std::move(s->groups[i]));
+  } else {
+    GroupKey key(n_gcols);
+    for (size_t k = 0; k < selected; ++k) {
+      for (size_t g = 0; g < n_gcols; ++g) {
+        key[g] = EncodeGroupValue(part, cq.group_by[g], rows[k]);
+      }
+      auto [it, inserted] = s->slot_index.try_emplace(
+          key, static_cast<uint32_t>(s->keys.size()));
+      if (inserted) s->keys.push_back(key);
+      row_slot[k] = it->second;
     }
-    return answer;
+    s->slot_index.clear();
   }
 
-  // ---- generic grouped path: hash-probe, but only at set bits.
-  GroupKey key(cq.group_by.size());
-  s->main.ForEachSetBit([&](size_t r) {
-    for (size_t g = 0; g < cq.group_by.size(); ++g) {
-      key[g] = EncodeGroupValue(part, cq.group_by[g], r);
+  // 3. One accumulate pass in ascending row order: every (group,
+  // aggregate) accumulator adds its rows in the scalar interpreter's
+  // order, which keeps answers bit-identical to kScalar. The pass is
+  // compiled once per value source, so the dense one runs call-free.
+  const size_t n_groups = s->keys.size();
+  s->accs.assign(n_groups * n_aggs, AggAccum{});
+  AggAccum* const slot_accs = s->accs.data();
+  auto accumulate = [&](auto value_at) {
+    for (size_t k = 0; k < selected; ++k) {
+      const size_t r = rows[k];
+      AggAccum* accs = slot_accs + row_slot[k] * n_aggs;
+      for (size_t a = 0; a < n_aggs; ++a) {
+        const CompiledAggregate& ca = cq.aggregates[a];
+        if (ca.has_filter && !s->agg_bitmaps[a].Test(r)) continue;
+        AggAccum& acc = accs[a];
+        acc.count += 1.0;
+        if (!ca.has_expr) continue;
+        const double v = value_at(a, r);
+        acc.sum += v;
+        if (ca.func == AggFunc::kMin || ca.func == AggFunc::kMax) {
+          acc.FoldExtrema(v);
+        }
+      }
     }
-    auto [it, inserted] = answer.try_emplace(key);
-    if (inserted) it->second.resize(n_aggs);
-    accumulate(it->second, r);
-  });
+  };
+  if (dense_expr) {
+    accumulate([&](size_t a, size_t r) { return s->agg_ptr[a][r]; });
+  } else {
+    accumulate(expr_value);
+  }
+  answer.reserve(n_groups);
+  for (size_t i = 0; i < n_groups; ++i) {
+    answer.emplace(std::move(s->keys[i]),
+                   std::vector<AggAccum>(slot_accs + i * n_aggs,
+                                         slot_accs + (i + 1) * n_aggs));
+  }
   return answer;
 }
 

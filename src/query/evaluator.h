@@ -16,9 +16,12 @@
 //    per row, hash-map probe per row);
 //  - kVectorized: the batch engine — the predicate is compiled once per
 //    query into a post-order program of column kernels, executed per
-//    partition into a word-packed SelectionBitmap, and aggregation runs
-//    over set bits with a single-group fast path (no GROUP BY) or a
-//    dictionary-coded dense group-id path (categorical GROUP BYs).
+//    partition into a word-packed SelectionBitmap. Aggregation has two
+//    paths: without GROUP BY, COUNT is a popcount and each aggregate one
+//    ordered sum over set bits; with GROUP BY, one loop gives every
+//    selected row a group slot (dense dictionary-code ids for small
+//    all-categorical GROUP BYs, a key hash otherwise) and then
+//    accumulates the rows in ascending order.
 // Bit-identity holds because every per-group accumulator sees the same
 // floating-point additions in the same (ascending row) order under both
 // policies.

@@ -64,84 +64,6 @@ __attribute__((target("avx2"))) void DenseGroupIdsAvx2(
   }
 }
 
-namespace {
-
-/// values[ridx[k]] for 4 lanes. The unmasked _mm256_i32gather_pd merges
-/// into _mm256_undefined_pd(), which GCC 12 flags under
-/// -Wmaybe-uninitialized; an all-ones mask over a zero source compiles to
-/// the same vgatherdpd with every input defined.
-__attribute__((target("avx2"))) inline __m256d GatherPd(const double* values,
-                                                        __m128i ridx) {
-  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), values, ridx, all, 8);
-}
-
-}  // namespace
-
-__attribute__((target("avx2"))) void GatherDoublesAvx2(const double* values,
-                                                       const uint32_t* rows,
-                                                       size_t n,
-                                                       double* out) {
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128i ridx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(rows + k));
-    const __m256d v = GatherPd(values, ridx);
-    _mm256_storeu_pd(out + k, v);
-  }
-  for (; k < n; ++k) out[k] = values[rows[k]];
-}
-
-__attribute__((target("avx2"))) double MinGatherAvx2(const double* values,
-                                                     const uint32_t* rows,
-                                                     size_t n) {
-  size_t k = 0;
-  double m = values[rows[0]];
-  if (n >= 4) {
-    __m256d acc = _mm256_set1_pd(m);
-    for (; k + 4 <= n; k += 4) {
-      const __m128i ridx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(rows + k));
-      acc = _mm256_min_pd(acc, GatherPd(values, ridx));
-    }
-    const __m128d lo = _mm256_castpd256_pd128(acc);
-    const __m128d hi = _mm256_extractf128_pd(acc, 1);
-    const __m128d m2 = _mm_min_pd(lo, hi);
-    const __m128d m1 = _mm_min_sd(m2, _mm_unpackhi_pd(m2, m2));
-    m = _mm_cvtsd_f64(m1);
-  }
-  for (; k < n; ++k) {
-    const double v = values[rows[k]];
-    if (v < m) m = v;
-  }
-  return m;
-}
-
-__attribute__((target("avx2"))) double MaxGatherAvx2(const double* values,
-                                                     const uint32_t* rows,
-                                                     size_t n) {
-  size_t k = 0;
-  double m = values[rows[0]];
-  if (n >= 4) {
-    __m256d acc = _mm256_set1_pd(m);
-    for (; k + 4 <= n; k += 4) {
-      const __m128i ridx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(rows + k));
-      acc = _mm256_max_pd(acc, GatherPd(values, ridx));
-    }
-    const __m128d lo = _mm256_castpd256_pd128(acc);
-    const __m128d hi = _mm256_extractf128_pd(acc, 1);
-    const __m128d m2 = _mm_max_pd(lo, hi);
-    const __m128d m1 = _mm_max_sd(m2, _mm_unpackhi_pd(m2, m2));
-    m = _mm_cvtsd_f64(m1);
-  }
-  for (; k < n; ++k) {
-    const double v = values[rows[k]];
-    if (v > m) m = v;
-  }
-  return m;
-}
-
 __attribute__((target("avx2"))) void BitUnpackAvx2(const uint8_t* packed,
                                                    size_t n, unsigned width,
                                                    uint32_t* out) {

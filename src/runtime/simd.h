@@ -4,16 +4,12 @@
 // runtime when AVX2 is present. The scalar kernels remain the bit-exactness
 // reference; SIMD variants must produce identical results.
 //
-// Grouped-aggregation kernels: the engine's determinism contract pins the
+// Grouped-aggregation kernel: the engine's determinism contract pins the
 // *order of floating-point additions* per group (ascending row order,
-// identical to the scalar interpreter), so SUM itself cannot be lane-
-// parallelized without changing results. What can: everything feeding the
-// accumulate loop. The kernels below gather the selected rows' group
-// codes and expression values with AVX2 gathers (DenseGroupIds*,
-// GatherDoubles*), leaving a tight scalar in-order accumulate; COUNT is
-// integer-valued in doubles (exact at any order) and MIN/MAX are order-
-// insensitive for the engine's finite, NaN-free data, so those reduce
-// fully in lanes (MinGather*/MaxGather*).
+// identical to the scalar interpreter), so no aggregate is accumulated in
+// lanes. What is vectorized is the integer work that feeds the ordered
+// accumulate loop: DenseGroupIds* turns the selected rows' dictionary
+// codes into dense group ids with AVX2 gathers.
 #ifndef PS3_RUNTIME_SIMD_H_
 #define PS3_RUNTIME_SIMD_H_
 
@@ -52,37 +48,6 @@ inline void DenseGroupIdsScalar(const int32_t* const* codes,
     }
     ids[k] = id;
   }
-}
-
-/// out[k] = values[rows[k]] — compacts the selected rows' values so the
-/// ordered accumulate loop reads them contiguously.
-inline void GatherDoublesScalar(const double* values, const uint32_t* rows,
-                                size_t n, double* out) {
-  for (size_t k = 0; k < n; ++k) out[k] = values[rows[k]];
-}
-
-/// Minimum of values[rows[k]] over k; n must be >= 1. Inputs must be
-/// NaN-free (the engine's columns are); ties between +0.0 and -0.0 may
-/// resolve to either representation.
-inline double MinGatherScalar(const double* values, const uint32_t* rows,
-                              size_t n) {
-  double m = values[rows[0]];
-  for (size_t k = 1; k < n; ++k) {
-    const double v = values[rows[k]];
-    if (v < m) m = v;
-  }
-  return m;
-}
-
-/// Maximum counterpart of MinGatherScalar.
-inline double MaxGatherScalar(const double* values, const uint32_t* rows,
-                              size_t n) {
-  double m = values[rows[0]];
-  for (size_t k = 1; k < n; ++k) {
-    const double v = values[rows[k]];
-    if (v > m) m = v;
-  }
-  return m;
 }
 
 // ---------------------------------------------------------------------
@@ -269,17 +234,6 @@ void InSetGatherWordsAvx2(const int32_t* codes, size_t full_words,
 void DenseGroupIdsAvx2(const int32_t* const* codes, const uint32_t* strides,
                        size_t n_group_cols, const uint32_t* rows, size_t n,
                        uint32_t* ids);
-
-/// AVX2 GatherDoublesScalar: 4 doubles per _mm256_i32gather_pd. Pure
-/// data movement, bit-identical by construction.
-void GatherDoublesAvx2(const double* values, const uint32_t* rows, size_t n,
-                       double* out);
-
-/// AVX2 MinGatherScalar / MaxGatherScalar: lane-parallel reduction
-/// (min/max are order-insensitive on NaN-free data, so lanes are safe
-/// where SUM would not be).
-double MinGatherAvx2(const double* values, const uint32_t* rows, size_t n);
-double MaxGatherAvx2(const double* values, const uint32_t* rows, size_t n);
 
 /// AVX2 BitUnpackScalar: 4 values per iteration via _mm256_i64gather at
 /// byte offsets + per-lane variable shifts. Bit-identical to the scalar

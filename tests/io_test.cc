@@ -34,15 +34,10 @@
 #include "storage/sharded_table.h"
 #include "workload/datasets.h"
 
+#include "scratch_dir.h"
+
 namespace ps3 {
 namespace {
-
-std::string MakeSpillDir() {
-  std::string tmpl = ::testing::TempDir() + "ps3_io_XXXXXX";
-  char* dir = mkdtemp(tmpl.data());
-  EXPECT_NE(dir, nullptr);
-  return tmpl;
-}
 
 /// Flips one byte of a file in place.
 void FlipByte(const std::string& path, long offset) {
@@ -134,7 +129,7 @@ TEST(PartitionFile, RoundtripAllColumnsBitExact) {
   auto bundle = workload::MakeAria(600, /*seed=*/3);
   const storage::Table& t = *bundle.table;
   storage::PartitionedTable pt(bundle.table, 7);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
 
   std::vector<std::shared_ptr<storage::Dictionary>> dicts(
       t.schema().num_columns());
@@ -174,7 +169,7 @@ TEST(PartitionFile, RoundtripAllColumnsBitExact) {
 TEST(PartitionFile, CorruptedSegmentIsDetected) {
   auto bundle = workload::MakeAria(200, /*seed=*/5);
   const storage::Table& t = *bundle.table;
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   auto bytes = io::WritePartitionFile(t, 0, t.num_rows(), PartPath(dir, 0));
   ASSERT_TRUE(bytes.ok());
 
@@ -195,7 +190,7 @@ TEST(PartitionFile, CorruptedSegmentIsDetected) {
 TEST(PartitionFile, TruncatedFileIsDetected) {
   auto bundle = workload::MakeAria(200, /*seed=*/6);
   const storage::Table& t = *bundle.table;
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(
       io::WritePartitionFile(t, 0, t.num_rows(), PartPath(dir, 0)).ok());
   // Truncate to half.
@@ -221,7 +216,7 @@ TEST(PartitionFile, EncodingModesRoundtripBitExact) {
   auto bundle = workload::MakeTpchStar(700, /*seed=*/57);
   const storage::Table& t = *bundle.table;
   auto dicts = SharedDicts(t);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
 
   const io::EncodingMode kModes[] = {
       io::EncodingMode::kRaw, io::EncodingMode::kBitpack,
@@ -272,7 +267,7 @@ TEST(PartitionFile, BitFlipInEncodedPayloadIsDetected) {
   auto bundle = workload::MakeAria(500, /*seed=*/59);
   const storage::Table& t = *bundle.table;
   auto dicts = SharedDicts(t);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
 
   const io::EncodingMode kModes[] = {io::EncodingMode::kBitpack,
                                      io::EncodingMode::kForDelta};
@@ -311,7 +306,7 @@ TEST(PartitionFile, CorruptFooterMetadataIsDetected) {
   auto bundle = workload::MakeAria(300, /*seed=*/61);
   const storage::Table& t = *bundle.table;
   auto dicts = SharedDicts(t);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   const size_t n_cols = t.schema().num_columns();
   size_t cat = n_cols;
   for (size_t c = 0; c < n_cols; ++c) {
@@ -392,7 +387,7 @@ TEST(PartitionFile, V1RawFileStillReadable) {
   w.PutU64(footer_off);
   w.PutU32(0x50335350u);
 
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   const std::string path = PartPath(dir, 0);
   ASSERT_TRUE(w.WriteFile(path).ok());
 
@@ -455,7 +450,7 @@ TEST(PartitionFile, V2UnknownEncodingIdIsRejected) {
   w.PutU64(footer_off);
   w.PutU32(0x50335350u);
 
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   const std::string path = PartPath(dir, 0);
   ASSERT_TRUE(w.WriteFile(path).ok());
 
@@ -496,7 +491,7 @@ TEST(PartitionFile, V2UnknownEncodingIdIsRejected) {
 TEST(PartitionStore, SpillOpenFetchRoundtrip) {
   auto bundle = workload::MakeKdd(900, /*seed=*/11);
   storage::PartitionedTable pt(bundle.table, 9);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   auto store = io::PartitionStore::Open(dir, {});
@@ -520,7 +515,7 @@ TEST(PartitionStore, SpillOpenFetchRoundtrip) {
 TEST(PartitionStore, EncodedBytesAccountingSplitsDiskFromCache) {
   auto bundle = workload::MakeTpchStar(1200, /*seed=*/63);
   storage::PartitionedTable pt(bundle.table, 4);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir, {}).ok());  // kAuto
   auto store = io::PartitionStore::Open(dir, {});
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -571,7 +566,7 @@ TEST(PartitionStore, ForcedEncodingSpillsScanBitExact) {
   for (io::EncodingMode mode :
        {io::EncodingMode::kRaw, io::EncodingMode::kBitpack,
         io::EncodingMode::kForDelta, io::EncodingMode::kAuto}) {
-    const std::string dir = MakeSpillDir();
+    const ScratchDir dir("ps3_io_");
     io::PartitionStore::SpillOptions sopts;
     sopts.encoding = mode;
     ASSERT_TRUE(io::PartitionStore::Spill(pt, dir, sopts).ok());
@@ -587,9 +582,9 @@ TEST(PartitionStore, ForcedEncodingSpillsScanBitExact) {
 TEST(PartitionStore, CorruptManifestFailsOpen) {
   auto bundle = workload::MakeAria(300, /*seed=*/13);
   storage::PartitionedTable pt(bundle.table, 3);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
-  FlipByte(dir + "/manifest.ps3m", 30);
+  FlipByte(dir.path() + "/manifest.ps3m", 30);
   auto store = io::PartitionStore::Open(dir, {});
   ASSERT_FALSE(store.ok());
   EXPECT_NE(store.status().message().find("checksum"), std::string::npos);
@@ -599,7 +594,7 @@ TEST(PartitionStore, CorruptPartitionFailsFetchAndScan) {
   auto bundle = workload::MakeAria(400, /*seed=*/17);
   storage::PartitionedTable pt(bundle.table, 4);
   const storage::ResidentShardedSource flat_src(pt);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   FlipByte(PartPath(dir, 2), 40);
 
@@ -630,7 +625,7 @@ TEST(PartitionStore, CorruptPartitionFailsFetchAndScan) {
 TEST(PartitionStore, FetchOutOfRange) {
   auto bundle = workload::MakeAria(100, /*seed=*/19);
   storage::PartitionedTable pt(bundle.table, 2);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   auto store = io::PartitionStore::Open(dir, {});
   ASSERT_TRUE(store.ok());
@@ -643,7 +638,7 @@ TEST(PartitionStore, FetchOutOfRange) {
 TEST(PartitionCache, EvictionKeepsBytesWithinBudget) {
   auto bundle = workload::MakeAria(1000, /*seed=*/23);
   storage::PartitionedTable pt(bundle.table, 10);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   io::PartitionStore::Options opts;
@@ -672,7 +667,7 @@ TEST(PartitionCache, EvictionKeepsBytesWithinBudget) {
 TEST(PartitionCache, PinnedEntriesSurviveEviction) {
   auto bundle = workload::MakeAria(800, /*seed=*/29);
   storage::PartitionedTable pt(bundle.table, 8);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   io::PartitionStore::Options opts;
@@ -711,7 +706,7 @@ TEST(PartitionCache, PinnedEntriesSurviveEviction) {
 TEST(PartitionStore, SingleFlightColdLoads) {
   auto bundle = workload::MakeAria(500, /*seed=*/31);
   storage::PartitionedTable pt(bundle.table, 2);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   io::PartitionStore::Options opts;
@@ -740,7 +735,7 @@ TEST(PartitionStore, SingleFlightColdLoads) {
 TEST(PrefetchPipeline, StagesPartitionsIntoCache) {
   auto bundle = workload::MakeKdd(600, /*seed=*/37);
   storage::PartitionedTable pt(bundle.table, 6);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   auto store = io::PartitionStore::Open(dir, {});
   ASSERT_TRUE(store.ok());
@@ -773,7 +768,7 @@ TEST(PrefetchPipeline, StagesPartitionsIntoCache) {
 TEST(PartitionFile, ColumnPrunedReadMatchesFullAndMovesFewerBytes) {
   auto bundle = workload::MakeTpchStar(700, /*seed=*/47);
   const storage::Table& t = *bundle.table;
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::WritePartitionFile(t, 0, t.num_rows(), PartPath(dir, 0)).ok());
   auto dicts = SharedDicts(t);
 
@@ -827,7 +822,7 @@ TEST(PartitionFile, ColumnPrunedReadMatchesFullAndMovesFewerBytes) {
 TEST(PartitionFile, PrunedReadVerifiesOnlyWhatItDecodes) {
   auto bundle = workload::MakeAria(300, /*seed=*/49);
   const storage::Table& t = *bundle.table;
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::WritePartitionFile(t, 0, t.num_rows(), PartPath(dir, 0)).ok());
   auto dicts = SharedDicts(t);
 
@@ -861,7 +856,7 @@ TEST(PartitionFile, PrunedReadVerifiesOnlyWhatItDecodes) {
 TEST(PartitionStore, PartialResidencyUpgradeFetchesOnlyMissingSegments) {
   auto bundle = workload::MakeTpchStar(900, /*seed=*/53);
   storage::PartitionedTable pt(bundle.table, 3);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   auto store = io::PartitionStore::Open(dir, {});
   ASSERT_TRUE(store.ok());
@@ -909,7 +904,7 @@ TEST(ColdScan, EvaluatorPrunesToReferencedColumns) {
   auto bundle = workload::MakeTpchStar(2000, /*seed=*/59);
   storage::PartitionedTable pt(bundle.table, 8);
   const storage::ResidentShardedSource flat_src(pt);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   auto store = io::PartitionStore::Open(dir, {});
   ASSERT_TRUE(store.ok());
@@ -949,7 +944,7 @@ TEST(PrefetchPipeline, FullUnpinnedCacheStillStagesSmallPlan) {
   // entries), not skipped as over budget.
   auto bundle = workload::MakeKdd(2000, /*seed=*/61);
   storage::PartitionedTable pt(bundle.table, 20);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options opts;
   auto probe = io::PartitionStore::Open(dir, opts);
@@ -984,7 +979,7 @@ TEST(PrefetchPipeline, LoadsLandWhileTheOnlyDriverIsBlocked) {
   // not hold read-ahead back.
   auto bundle = workload::MakeKdd(600, /*seed=*/67);
   storage::PartitionedTable pt(bundle.table, 6);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options opts;
   opts.simulated_load_delay_us = 2000;
@@ -1033,7 +1028,7 @@ TEST(PrefetchPipeline, BulkPlanStagesOnlyNextShardIntoFreeSpace) {
   // entries come far faster than its loads land.
   auto bundle = workload::MakeKdd(1600, /*seed=*/71);
   storage::PartitionedTable pt(bundle.table, 16);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options opts;
   opts.simulated_load_delay_us = 20000;
@@ -1083,7 +1078,7 @@ TEST(ColdScan, BitExactWithResidentUnderBothPolicies) {
   auto bundle = workload::MakeTpchStar(3000, /*seed=*/41);
   storage::PartitionedTable pt(bundle.table, 11);
   const storage::ResidentShardedSource flat_src(pt);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   io::PartitionStore::Options opts;
@@ -1114,7 +1109,7 @@ TEST(ColdScan, ConcurrentQueriesSmallCachePinnedScans) {
   auto bundle = workload::MakeTpchStar(4000, /*seed=*/43);
   storage::PartitionedTable pt(bundle.table, 16);
   const storage::ResidentShardedSource flat_src(pt);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   io::PartitionStore::Options opts;
@@ -1158,7 +1153,7 @@ TEST(ColdScan, PickedScanStagesEachPlanPartitionOnceAndLoadsNoSegmentTwice) {
   auto bundle = workload::MakeTpchStar(4000, /*seed=*/97);
   storage::PartitionedTable pt(bundle.table, 40);
   const storage::ResidentShardedSource flat_src(pt);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   query::Query q = CountSumQuery(*bundle.table);
@@ -1213,7 +1208,7 @@ TEST(ColdScan, PickedScanStagesEachPlanPartitionOnceAndLoadsNoSegmentTwice) {
 TEST(PartitionStoreCancel, CancelledFetchReturnsCancelledAndReleasesPins) {
   auto bundle = workload::MakeAria(500, /*seed=*/71);
   storage::PartitionedTable pt(bundle.table, 4);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   auto store = io::PartitionStore::Open(dir, {});
   ASSERT_TRUE(store.ok());
@@ -1241,7 +1236,7 @@ TEST(PartitionStoreCancel, CancelledFetchReturnsCancelledAndReleasesPins) {
 TEST(PartitionStoreCancel, CancelledWaiterUnblocksWhileLoaderCompletes) {
   auto bundle = workload::MakeAria(600, /*seed=*/73);
   storage::PartitionedTable pt(bundle.table, 2);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options opts;
   opts.simulated_load_delay_us = 30000;  // wide single-flight window
@@ -1284,7 +1279,7 @@ TEST(ColdScanCancel, AbortedColdQueryReleasesEverythingAndSparesSiblings) {
   auto bundle = workload::MakeTpchStar(2000, /*seed=*/79);
   storage::PartitionedTable pt(bundle.table, 12);
   const storage::ResidentShardedSource flat_src(pt);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options opts;
   opts.simulated_load_delay_us = 500;
@@ -1337,7 +1332,7 @@ TEST(PrefetchBudget, FailedColdLoadsReturnAllReservedBudget) {
   // fetches of the corrupt partition must not leak pins.
   auto bundle = workload::MakeKdd(1200, /*seed=*/83);
   storage::PartitionedTable pt(bundle.table, 8);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   FlipByte(PartPath(dir, 3), 40);
   auto store = io::PartitionStore::Open(dir, {});
@@ -1371,7 +1366,7 @@ TEST(PrefetchBudget, InteractiveReserveSurvivesBatchPressure) {
   // split exists for.
   auto bundle = workload::MakeKdd(1500, /*seed=*/89);
   storage::PartitionedTable pt(bundle.table, 10);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options sopts;
   sopts.simulated_load_delay_us = 20000;  // loads stay in flight a while
@@ -1538,7 +1533,7 @@ TEST(FaultBattery, TransientFailuresRetryAndRecoverBitExact) {
   auto bundle = workload::MakeKdd(700, /*seed=*/101);
   storage::PartitionedTable pt(bundle.table, 4);
   const storage::ResidentShardedSource flat_src(pt);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // Partition 1 fails transient on attempts 0 and 1 of every column,
@@ -1573,7 +1568,7 @@ TEST(FaultBattery, TransientFailuresRetryAndRecoverBitExact) {
 TEST(FaultBattery, RetryExhaustionSurfacesUnavailable) {
   auto bundle = workload::MakeAria(500, /*seed=*/103);
   storage::PartitionedTable pt(bundle.table, 4);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // Partition 0 never reads clean; the retry loop must give up after
@@ -1604,7 +1599,7 @@ TEST(FaultBattery, RetryExhaustionSurfacesUnavailable) {
 TEST(FaultBattery, CorruptThenCleanRefetchRecovers) {
   auto bundle = workload::MakeKdd(900, /*seed=*/107);
   storage::PartitionedTable pt(bundle.table, 6);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // The first read of partition 2's column 0 comes back bit-flipped;
@@ -1634,7 +1629,7 @@ TEST(FaultBattery, CorruptThenCleanRefetchRecovers) {
 TEST(FaultBattery, PersistentCorruptionSurfacesAfterOneRefetch) {
   auto bundle = workload::MakeKdd(600, /*seed=*/109);
   storage::PartitionedTable pt(bundle.table, 4);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // Every read of partition 2 corrupts: the file is bad, not the link.
@@ -1659,7 +1654,7 @@ TEST(FaultBattery, PersistentCorruptionSurfacesAfterOneRefetch) {
 TEST(FaultBattery, LostPartitionFailsFastAndSparesTheBreaker) {
   auto bundle = workload::MakeAria(800, /*seed=*/113);
   storage::PartitionedTable pt(bundle.table, 8);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   io::FaultPlan plan;
@@ -1692,7 +1687,7 @@ TEST(FaultBattery, LostPartitionFailsFastAndSparesTheBreaker) {
 TEST(FaultBattery, HedgeFiresOnLatencySpikeAndWinnerCancelsLoser) {
   auto bundle = workload::MakeKdd(800, /*seed=*/127);
   storage::PartitionedTable pt(bundle.table, 4);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // Attempt 0 of partition 0 pays a 250ms spike; attempt 1 is clean.
@@ -1732,7 +1727,7 @@ TEST(FaultBattery, HedgeFiresOnLatencySpikeAndWinnerCancelsLoser) {
 TEST(FaultBattery, BreakerOpensFailsFastHalfOpensAndCloses) {
   auto bundle = workload::MakeAria(600, /*seed=*/131);
   storage::PartitionedTable pt(bundle.table, 6);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // Partitions 0 and 1 are hopeless (always transient); 2 is healthy.
@@ -1785,7 +1780,7 @@ TEST(FaultBattery, BreakerOpensFailsFastHalfOpensAndCloses) {
 TEST(FaultBattery, AbortedHalfOpenProbeDoesNotWedgeBreaker) {
   auto bundle = workload::MakeAria(600, /*seed=*/149);
   storage::PartitionedTable pt(bundle.table, 6);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // Partitions 0 and 1 are hopeless and open the circuit; the half-open
@@ -1885,7 +1880,7 @@ TEST(FaultBattery, BreakerIgnoresStaleResultsAndReleasesAbortedProbe) {
 TEST(FaultBattery, HedgeDelayEstimateSurvivesFastSamples) {
   auto bundle = workload::MakeAria(600, /*seed=*/151);
   storage::PartitionedTable pt(bundle.table, 6);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // One spiked pass seeds the latency EWMA high; the fast passes after
@@ -1917,7 +1912,7 @@ TEST(FaultBattery, HedgeDelayEstimateSurvivesFastSamples) {
 TEST(FaultBattery, SingleFlightTimeoutStealsAndReclaims) {
   auto bundle = workload::MakeKdd(700, /*seed=*/137);
   storage::PartitionedTable pt(bundle.table, 4);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // The first loader of partition 0 rides out a 400ms spike while
@@ -1963,7 +1958,7 @@ TEST(FaultBattery, SingleFlightTimeoutStealsAndReclaims) {
 TEST(FaultBattery, AbortsCountInNoErrorCounter) {
   auto bundle = workload::MakeAria(500, /*seed=*/139);
   storage::PartitionedTable pt(bundle.table, 4);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // Partition 0 always fails transient, with real backoffs between
@@ -2009,7 +2004,7 @@ TEST(FaultBattery, AbortsCountInNoErrorCounter) {
 TEST(FaultBattery, ZeroFaultPlanIsIdenticalToNoInjector) {
   auto bundle = workload::MakeKdd(900, /*seed=*/149);
   storage::PartitionedTable pt(bundle.table, 6);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   auto plain = io::PartitionStore::Open(dir, {});
@@ -2046,7 +2041,7 @@ TEST(FaultBattery, ZeroFaultPlanIsIdenticalToNoInjector) {
 TEST(FaultBattery, SeededRatesReplayIdenticallyThroughStore) {
   auto bundle = workload::MakeKdd(1000, /*seed=*/151);
   storage::PartitionedTable pt(bundle.table, 8);
-  const std::string dir = MakeSpillDir();
+  const ScratchDir dir("ps3_io_");
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
 
   // Two independent stores over the same directory, each with its own

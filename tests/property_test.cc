@@ -36,6 +36,8 @@
 #include "workload/datasets.h"
 #include "workload/generator.h"
 
+#include "scratch_dir.h"
+
 namespace ps3 {
 namespace {
 
@@ -385,7 +387,7 @@ query::Query RandomQuery(const storage::Table& t, RandomEngine* rng) {
         query::Expr::Column(random_numeric()),
         RandomPredicate(t, rng, 1)));
     // Extrema: plain column MIN plus MAX of a compound expression, so
-    // both the gather-kernel fast path and the AST-walk fallback run.
+    // the extrema fold reads both a storage span and a computed value.
     q.aggregates.push_back(
         query::Aggregate::Min(query::Expr::Column(random_numeric())));
     q.aggregates.push_back(query::Aggregate::Max(
@@ -626,8 +628,7 @@ TEST_P(StoreRoundtripInvariance, ColdScanBitIdenticalToResident) {
   storage::PartitionedTable pt(bundle.table, 13);
   const storage::ResidentShardedSource flat_src(pt);
 
-  std::string dir = ::testing::TempDir() + "ps3_prop_XXXXXX";
-  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const ScratchDir dir("ps3_prop_");
   io::PartitionStore::SpillOptions sopts;
   sopts.encoding = GetParam().encoding;
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir, sopts).ok());
@@ -705,34 +706,21 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return std::string(info.param.name); });
 
 // ---------------------------------------------------------------------
-// Grouped-aggregation SIMD kernels vs their scalar references. The AVX2
-// variants only move data / do integer id math (sum stays scalar in the
-// engine), so they must match the scalar kernels bit-for-bit; min/max
-// reduce in lanes and must match exactly on NaN-free data.
+// Grouped-aggregation SIMD kernel vs its scalar reference. The AVX2
+// dense group-id kernel only does integer id math (every sum stays
+// scalar in the engine), so it must match the scalar kernel exactly.
 
 #if defined(__x86_64__) || defined(__i386__)
-TEST(AggregationKernels, GatherAndGroupIdKernelsMatchScalar) {
+TEST(AggregationKernels, DenseGroupIdsMatchScalar) {
   if (!runtime::Avx2Available()) GTEST_SKIP() << "no AVX2 on this host";
   RandomEngine rng(20260730);
   for (int trial = 0; trial < 10; ++trial) {
     const size_t n_rows = 65 + rng.NextUint64(900);  // crosses lane tails
     const size_t n_sel = 1 + rng.NextUint64(n_rows);
-    std::vector<double> values(n_rows);
-    for (auto& v : values) v = rng.NextGaussian() * 1e3;
     std::vector<uint32_t> rows(n_sel);
     // Ascending selected rows, like a bitmap expansion.
     for (auto& r : rows) r = static_cast<uint32_t>(rng.NextUint64(n_rows));
     std::sort(rows.begin(), rows.end());
-
-    // Gather.
-    std::vector<double> got(n_sel), want(n_sel);
-    runtime::GatherDoublesScalar(values.data(), rows.data(), n_sel,
-                                 want.data());
-    runtime::GatherDoublesAvx2(values.data(), rows.data(), n_sel,
-                               got.data());
-    for (size_t k = 0; k < n_sel; ++k) {
-      EXPECT_EQ(BitsOf(want[k]), BitsOf(got[k])) << "gather k=" << k;
-    }
 
     // Dense group ids over 1-3 group columns.
     const size_t n_gcols = 1 + rng.NextUint64(3);
@@ -758,16 +746,6 @@ TEST(AggregationKernels, GatherAndGroupIdKernelsMatchScalar) {
     for (size_t k = 0; k < n_sel; ++k) {
       EXPECT_EQ(ids_want[k], ids_got[k]) << "group id k=" << k;
     }
-
-    // Min / max lane reductions.
-    EXPECT_EQ(BitsOf(runtime::MinGatherScalar(values.data(), rows.data(),
-                                              n_sel)),
-              BitsOf(runtime::MinGatherAvx2(values.data(), rows.data(),
-                                            n_sel)));
-    EXPECT_EQ(BitsOf(runtime::MaxGatherScalar(values.data(), rows.data(),
-                                              n_sel)),
-              BitsOf(runtime::MaxGatherAvx2(values.data(), rows.data(),
-                                            n_sel)));
   }
 }
 #endif  // x86
@@ -833,11 +811,11 @@ TEST(CompressionKernels, BitUnpackRoundtripAndForDeltaMatchScalar) {
   }
 }
 
-// The evaluator's SIMD-assisted dense-group path engages only for
-// filter-free grouped aggregates with dense expression values — a shape
-// RandomQuery never produces (it always adds a CASE-filtered aggregate).
-// Cover it directly: randomized filter-free GROUP BY queries must be
-// bit-identical across scalar / pack64 / AVX2 at any thread count.
+// RandomQuery always adds a CASE-filtered aggregate, so it never runs the
+// grouped loop with every aggregate unfiltered. Cover that shape
+// directly, over sparse to dense selections and with MIN/MAX over bare
+// columns: randomized filter-free GROUP BY queries must be bit-identical
+// across scalar / pack64 / AVX2 at any thread count.
 TEST(ExecEquivalence, FilterFreeGroupedSimdPathBitIdentical) {
   auto bundle = workload::MakeTpchStar(5000, /*seed=*/91);
   storage::PartitionedTable pt(bundle.table, 9);
@@ -869,8 +847,9 @@ TEST(ExecEquivalence, FilterFreeGroupedSimdPathBitIdentical) {
       size_t extra = cat_cols[rng.NextUint64(cat_cols.size())];
       if (extra != q.group_by[0]) q.group_by.push_back(extra);
     }
-    // Predicate selectivity spans sparse to dense, so both the
-    // SIMD-assisted path (dense) and the per-bit fallback (sparse) run.
+    // Predicate selectivity spans sparse to dense, so the grouped loop
+    // reads both materialized values (dense) and per-row evaluations
+    // (sparse).
     if (rng.NextBool(0.7)) {
       q.predicate = RandomPredicate(*bundle.table, &rng, 2);
     }
@@ -893,6 +872,68 @@ TEST(ExecEquivalence, FilterFreeGroupedSimdPathBitIdentical) {
       ExpectAnswersBitIdentical(
           scalar, query::EvaluateAllPartitions(q, flat_src, vopts),
           "grouped-avx2-4t");
+    }
+  }
+}
+
+// Categorical GROUP BYs whose id space (the product of the dictionary
+// sizes, here 1,100 x 1,000) exceeds the evaluator's 2^20 dense cap are
+// numbered through the key hash instead of dense ids. Each group holds
+// four consecutive rows, so the per-group addition order shows, and the
+// answers must still be bit-identical to the scalar interpreter under
+// both kernel tiers, sparse and dense selections alike.
+TEST(ExecEquivalence, CategoricalGroupByPastDenseCapBitIdentical) {
+  constexpr size_t kCodesA = 1100, kCodesB = 1000, kRows = 4 * kCodesA;
+  auto table = std::make_shared<storage::Table>(storage::Schema(
+      {{"A", storage::ColumnType::kCategorical},
+       {"B", storage::ColumnType::kCategorical},
+       {"V", storage::ColumnType::kNumeric},
+       {"W", storage::ColumnType::kNumeric}}));
+  RandomEngine rng(4242);
+  for (size_t r = 0; r < kRows; ++r) {
+    table->AppendRow({rng.NextGaussian() * 1e3, rng.NextDouble()},
+                     {"a" + std::to_string(r / 4),
+                      "b" + std::to_string((r / 4 * 7) % kCodesB)});
+  }
+  table->Seal();
+  ASSERT_EQ(table->column(0).dict()->size(), kCodesA);
+  ASSERT_EQ(table->column(1).dict()->size(), kCodesB);
+  ASSERT_GT(kCodesA * kCodesB, size_t{1} << 20);
+  storage::PartitionedTable pt(table, 3);
+  const storage::ResidentShardedSource flat_src(pt);
+
+  query::Query q;
+  q.aggregates.push_back(query::Aggregate::Count());
+  q.aggregates.push_back(query::Aggregate::Sum(query::Expr::Column(2)));
+  q.aggregates.push_back(query::Aggregate::Avg(query::Expr::Mul(
+      query::Expr::Column(2), query::Expr::Column(3))));
+  q.aggregates.push_back(query::Aggregate::SumCase(
+      query::Expr::Column(2),
+      query::Predicate::NumericCompare(3, query::CompareOp::kLt, 0.5)));
+  q.aggregates.push_back(query::Aggregate::Min(query::Expr::Column(2)));
+  q.aggregates.push_back(query::Aggregate::Max(query::Expr::Column(3)));
+  q.group_by = {0, 1};
+  // Unfiltered (dense values), then ~10% of rows (per-row evaluation).
+  for (const double cut : {2.0, 0.1}) {
+    q.predicate =
+        query::Predicate::NumericCompare(3, query::CompareOp::kLt, cut);
+    auto scalar = query::EvaluateAllPartitions(
+        q, flat_src, {query::ExecPolicy::kScalar, 1});
+    size_t groups = 0;
+    for (const auto& part : scalar) groups += part.size();
+    ASSERT_GT(groups, 100u);
+    query::ExecOptions vopts;
+    vopts.policy = query::ExecPolicy::kVectorized;
+    vopts.num_threads = 1;
+    vopts.simd = runtime::SimdLevel::kNone;
+    ExpectAnswersBitIdentical(scalar,
+                              query::EvaluateAllPartitions(q, flat_src, vopts),
+                              "hashed-categorical-pack64");
+    if (runtime::Avx2Available()) {
+      vopts.simd = runtime::SimdLevel::kAvx2;
+      ExpectAnswersBitIdentical(
+          scalar, query::EvaluateAllPartitions(q, flat_src, vopts),
+          "hashed-categorical-avx2");
     }
   }
 }
@@ -989,8 +1030,9 @@ struct ApproxFixture {
     // learned funnel consults selectivity sketches per predicate).
     queries = gen.GenerateSet(4, 91);
 
-    dir = ::testing::TempDir() + "ps3_approx_XXXXXX";
-    EXPECT_NE(mkdtemp(dir.data()), nullptr);
+    // The fixture lives for the whole run; its spill goes at exit.
+    static const ScratchDir spill("ps3_approx_");
+    dir = spill.path();
     EXPECT_TRUE(io::PartitionStore::Spill(*pt, dir).ok());
     io::PartitionStore::Options o;
     auto probe = io::PartitionStore::Open(dir, o);

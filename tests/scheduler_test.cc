@@ -5,7 +5,6 @@
 // equivalence pattern to concurrent admission. Also covers per-query
 // failure isolation and drain-on-destruction.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -30,6 +29,8 @@
 #include "storage/sharded_table.h"
 #include "workload/datasets.h"
 #include "workload/generator.h"
+
+#include "scratch_dir.h"
 
 namespace ps3 {
 namespace {
@@ -554,14 +555,12 @@ TEST(QueryScheduler, ConcurrentApproximateBitIdenticalToSerial) {
 
 /// Spills the fixture table once and hands out stores over it with
 /// per-test fault plans.
-std::string SpilledFixtureDir() {
-  static std::string* dir = [] {
-    std::string tmpl = ::testing::TempDir() + "ps3_sched_XXXXXX";
-    EXPECT_NE(mkdtemp(tmpl.data()), nullptr);
-    EXPECT_TRUE(io::PartitionStore::Spill(*Fixture().pt, tmpl).ok());
-    return new std::string(tmpl);
-  }();
-  return *dir;
+const std::string& SpilledFixtureDir() {
+  static const ScratchDir dir("ps3_sched_");
+  static const bool spilled =
+      io::PartitionStore::Spill(*Fixture().pt, dir).ok();
+  EXPECT_TRUE(spilled);
+  return dir;
 }
 
 std::unique_ptr<io::PartitionStore> OpenFaulted(
