@@ -27,22 +27,6 @@ double Draw(uint64_t seed, uint64_t salt, size_t partition, size_t column,
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kTransient:
-      return "transient";
-    case FaultKind::kLatency:
-      return "latency";
-    case FaultKind::kCorrupt:
-      return "corrupt";
-    case FaultKind::kLost:
-      return "lost";
-  }
-  return "none";
-}
-
 FaultDecision FaultInjector::Decide(size_t partition, size_t column,
                                     int attempt) const {
   FaultDecision decision;

@@ -58,9 +58,6 @@ enum class FaultKind : uint8_t {
   kLost,       ///< partition permanently unreachable; never retried
 };
 
-/// "none" / "transient" / "latency" / "corrupt" / "lost".
-const char* FaultKindName(FaultKind kind);
-
 /// A scripted fault: overrides the plan's rates for exact coordinates.
 /// First matching rule wins; unmatched coordinates fall through to the
 /// hashed rates.

@@ -12,17 +12,19 @@
 //
 // The cache accounts bytes, not entry counts: Insert evicts least-
 // recently-used *unpinned* segments until the budget is met again. A
-// pinned segment — one with an outstanding ColumnPin token — is never
-// evicted, so a scan can hold more than the budget transiently (the
-// budget bounds what the cache retains, not what a query needs); the
-// overshoot drains as pins are released and later inserts evict.
-// Released pins re-enter the LRU at the *cold end* (scan-resistance): a
-// released segment was just scanned, so it must not outrank staged-but-
-// unscanned read-ahead in eviction order.
+// pinned segment — one held by a live PinSet — is never evicted, so a
+// scan can hold more than the budget transiently (the budget bounds what
+// the cache retains, not what a query needs); the overshoot drains as
+// pins are released and later inserts evict. Each scan view owns one
+// PinSet holding its cache hits and its cold loads alike, released in
+// one pass when the view is dropped. Released pins re-enter the LRU at
+// the *cold end* (scan-resistance): a released segment was just scanned,
+// so it must not outrank staged-but-unscanned read-ahead in eviction
+// order.
 //
 // Thread-safe: concurrent queries acquire, insert, and release pins from
 // pool lanes and prefetch drivers at once. The cache must outlive every
-// pin token it hands out.
+// PinSet that pins into it.
 #ifndef PS3_IO_PARTITION_CACHE_H_
 #define PS3_IO_PARTITION_CACHE_H_
 
@@ -32,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "common/hash.h"
 #include "storage/column.h"
@@ -77,11 +80,7 @@ struct ColumnKeyHash {
   }
 };
 
-/// A pinned segment: shares the cached data and releases the pin (making
-/// the entry evictable again) when the last copy is destroyed.
-using ColumnPin = std::shared_ptr<const CachedColumn>;
-
-/// Point-in-time counters. hits/misses are AcquireManyPinned lookup
+/// Point-in-time counters. hits/misses are AcquireMany lookup
 /// outcomes and inserts/evictions entry movements — all at column-segment
 /// granularity; bytes_pinned is included in bytes_cached.
 struct CacheStats {
@@ -103,26 +102,50 @@ class PartitionCache {
 
   size_t budget_bytes() const { return budget_; }
 
-  /// Batched lookup: pins every cached segment among `keys` in a single
-  /// critical section, filling (*data)[k] for hits (nullptr for misses),
-  /// and returns one token that releases every pinned entry in a single
-  /// pass (null if nothing hit). A wide scan pays two lock acquisitions
-  /// per partition instead of two per column — the fully-cached hot path
-  /// would otherwise convoy concurrent lanes on this mutex in proportion
-  /// to table width.
-  std::shared_ptr<const void> AcquireManyPinned(
-      const std::vector<ColumnKey>& keys,
-      std::vector<std::shared_ptr<const CachedColumn>>* data);
+  /// The pins one scan view holds. Every segment AcquireMany or Insert
+  /// pins into the set stays unevictable until the set is destroyed,
+  /// which releases them all in one ReleaseMany pass. Move-only; the
+  /// view's column copies keep the segment buffers alive, so the set
+  /// holds keys only.
+  class PinSet {
+   public:
+    explicit PinSet(PartitionCache* cache) : cache_(cache) {}
+    PinSet(PinSet&& other) noexcept
+        : cache_(other.cache_), keys_(std::move(other.keys_)) {
+      other.keys_.clear();
+    }
+    PinSet(const PinSet&) = delete;
+    PinSet& operator=(const PinSet&) = delete;
+    PinSet& operator=(PinSet&&) = delete;
+    ~PinSet() {
+      if (!keys_.empty()) cache_->ReleaseMany(keys_);
+    }
 
-  /// Inserts `data` unpinned at MRU (the prefetch path), then evicts LRU
-  /// unpinned entries while over budget. Re-inserting a present segment
-  /// just refreshes its recency.
-  void Insert(const ColumnKey& key, std::shared_ptr<const CachedColumn> data);
+   private:
+    friend class PartitionCache;
+    PartitionCache* cache_;
+    std::vector<ColumnKey> keys_;  ///< one per pin taken
+  };
 
-  /// Insert + pin in one step (the demand-load path): the entry cannot be
-  /// evicted between insertion and the scan that needed it.
-  ColumnPin InsertPinned(const ColumnKey& key,
-                         std::shared_ptr<const CachedColumn> data);
+  /// Batched lookup: in a single critical section, fills (*data)[k] for
+  /// every cached segment among `keys` (nullptr for misses) and pins each
+  /// hit into `*pins`. A wide scan pays one lock acquisition per pass
+  /// instead of one per column — the fully-cached hot path would
+  /// otherwise convoy concurrent lanes on this mutex in proportion to
+  /// table width.
+  void AcquireMany(const std::vector<ColumnKey>& keys,
+                   std::vector<std::shared_ptr<const CachedColumn>>* data,
+                   PinSet* pins);
+
+  /// Inserts `data` at MRU, then evicts LRU unpinned entries while over
+  /// budget. Re-inserting a present segment keeps the resident entry
+  /// (refreshing its recency if unpinned). With `pins` (the demand-load
+  /// path) the entry is pinned into `*pins` before anything is evicted,
+  /// so it cannot leave before the scan that needed it; without (the
+  /// prefetch path) it is staged unpinned. Returns the resident data.
+  std::shared_ptr<const CachedColumn> Insert(
+      const ColumnKey& key, std::shared_ptr<const CachedColumn> data,
+      PinSet* pins = nullptr);
 
   bool Contains(const ColumnKey& key) const;
   /// True iff every column in `cols` of `part` is cached. `cols` must be
@@ -141,24 +164,15 @@ class PartitionCache {
     size_t pins = 0;
     /// Valid iff pins == 0: position in lru_ (front = coldest). Pinned
     /// entries leave the LRU list entirely and re-enter at the *cold end*
-    /// on release (scan-resistance — see Release()).
+    /// on release (scan-resistance — see ReleaseMany()).
     std::list<ColumnKey>::iterator lru_it;
   };
 
-  /// Builds the pin token for an already-pinned entry. Must be called
-  /// with mu_ *released*: the token's deleter (and the deleter run on a
-  /// throwing control-block allocation) locks mu_.
-  ColumnPin MakePinned(const ColumnKey& key,
-                       std::shared_ptr<const CachedColumn> data);
-  void Release(const ColumnKey& key);
+  /// Pins `e` (stored under `key`) into `*pins`. Caller holds mu_.
+  void PinLocked(const ColumnKey& key, Entry* e, PinSet* pins);
+  /// The one release path: drops one pin per key, re-entering fully
+  /// released entries at the LRU's cold end, then evicts back to budget.
   void ReleaseMany(const std::vector<ColumnKey>& keys);
-  void PinLocked(Entry* e);
-  /// Shared single-entry release logic. Caller holds mu_ and must call
-  /// EvictToBudgetLocked afterwards (once per batch).
-  void ReleaseLocked(const ColumnKey& key);
-  /// Creates the entry at MRU and accounts it. Caller holds mu_.
-  Entry& InsertEntryLocked(const ColumnKey& key,
-                           std::shared_ptr<const CachedColumn> data);
   void EvictToBudgetLocked();
 
   const size_t budget_;

@@ -15,11 +15,9 @@ namespace {
 
 constexpr uint32_t kPartitionMagic = 0x50335350;  // "PS3P"
 constexpr uint32_t kPartitionVersion = 2;
-constexpr uint32_t kPartitionVersionV1 = 1;
 
 constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;
-constexpr size_t kFooterEntryBytesV1 = 1 + 8 + 8 + 8;
-constexpr size_t kFooterEntryBytesV2 = 1 + 1 + 1 + 8 + 8 + 8 + 8;
+constexpr size_t kFooterEntryBytes = 1 + 1 + 1 + 8 + 8 + 8 + 8;
 constexpr size_t kTrailerBytes = 8 + 4;
 
 struct SegmentMeta {
@@ -306,9 +304,7 @@ Result<storage::Table> ReadPartitionColumns(
   PS3_RETURN_IF_ERROR(file.ReadAt(0, kHeaderBytes, header));
   if (ReadU32(header) != kPartitionMagic) return corrupt("bad magic");
   const uint32_t version = ReadU32(header + 4);
-  if (version != kPartitionVersion && version != kPartitionVersionV1) {
-    return corrupt("unsupported version");
-  }
+  if (version != kPartitionVersion) return corrupt("unsupported version");
   const uint64_t num_rows = ReadU64(header + 8);
   const uint32_t num_cols = ReadU32(header + 16);
   if (num_cols != schema.num_columns() ||
@@ -325,10 +321,7 @@ Result<storage::Table> ReadPartitionColumns(
   }
   const size_t n = static_cast<size_t>(num_rows);
 
-  const size_t footer_entry_bytes =
-      version == kPartitionVersionV1 ? kFooterEntryBytesV1
-                                     : kFooterEntryBytesV2;
-  const size_t footer_len = static_cast<size_t>(num_cols) * footer_entry_bytes;
+  const size_t footer_len = static_cast<size_t>(num_cols) * kFooterEntryBytes;
   if (footer_off > file.size() || footer_len > file.size() - footer_off) {
     return corrupt("footer out of bounds");
   }
@@ -336,24 +329,17 @@ Result<storage::Table> ReadPartitionColumns(
   PS3_RETURN_IF_ERROR(file.ReadAt(footer_off, footer_len, footer.data()));
   std::vector<SegmentMeta> segs(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {
-    const uint8_t* e = footer.data() + c * footer_entry_bytes;
-    SegmentMeta& seg = segs[c];
-    if (version == kPartitionVersionV1) {
-      // v1 files are raw-only; the narrower entry carries no encoding.
-      seg = SegmentMeta{e[0], SegmentEncoding::kRaw, 0, ReadU64(e + 1),
-                        ReadU64(e + 9), ReadU64(e + 17), 0};
-    } else {
-      if (e[1] > static_cast<uint8_t>(SegmentEncoding::kForDelta)) {
-        return corrupt("unknown segment encoding");
-      }
-      seg = SegmentMeta{e[0],
-                        static_cast<SegmentEncoding>(e[1]),
-                        e[2],
-                        ReadU64(e + 3),
-                        ReadU64(e + 11),
-                        ReadU64(e + 19),
-                        static_cast<int64_t>(ReadU64(e + 27))};
+    const uint8_t* e = footer.data() + c * kFooterEntryBytes;
+    if (e[1] > static_cast<uint8_t>(SegmentEncoding::kForDelta)) {
+      return corrupt("unknown segment encoding");
     }
+    segs[c] = SegmentMeta{e[0],
+                          static_cast<SegmentEncoding>(e[1]),
+                          e[2],
+                          ReadU64(e + 3),
+                          ReadU64(e + 11),
+                          ReadU64(e + 19),
+                          static_cast<int64_t>(ReadU64(e + 27))};
   }
 
   std::vector<storage::Column> out_columns;

@@ -5,12 +5,14 @@
 //
 //   header   u32 magic 'PS3P' · u32 version · u64 num_rows · u32 num_cols
 //   segments one per column, back to back, encoded per the footer
-//   footer   v2, per column: u8 type · u8 encoding · u8 bit_width ·
+//   footer   per column: u8 type · u8 encoding · u8 bit_width ·
 //            u64 offset · u64 byte_len (encoded) ·
 //            u64 fnv1a64 checksum of the *encoded* segment bytes ·
 //            u64 frame-of-reference base (for_delta only, else 0)
-//            (v1 files carry u8 type · u64 offset · u64 byte_len ·
-//            u64 checksum and are always raw; readers still open them)
+//
+// Readers accept version 2 only; any other version, including the
+// raw-only v1 format no writer has produced since the encodings landed,
+// fails with "unsupported version".
 //   trailer  u64 footer offset · u32 magic
 //
 // Per-column segment encodings, chosen at spill time by the picker:
@@ -56,7 +58,7 @@
 
 namespace ps3::io {
 
-/// On-disk segment encoding tags (footer `encoding` byte, v2 files).
+/// On-disk segment encoding tags (footer `encoding` byte).
 enum class SegmentEncoding : uint8_t {
   kRaw = 0,       ///< fixed-width values, memcpy decode
   kBitpack = 1,   ///< codes bit-packed at footer bit_width
@@ -110,7 +112,7 @@ Result<PartitionFileInfo> WritePartitionFile(
 /// verified over the encoded bytes of every segment actually read — an
 /// unrequested corrupt segment is not detected here, but it is also
 /// never decoded, and a later read that requests it surfaces the
-/// corruption as a Status. Opens both v1 (raw-only) and v2 files.
+/// corruption as a Status.
 Result<storage::Table> ReadPartitionColumns(
     const std::string& path, const storage::Schema& schema,
     const std::vector<std::shared_ptr<storage::Dictionary>>& dicts,

@@ -19,7 +19,6 @@ namespace {
 
 constexpr uint32_t kManifestMagic = 0x4D335350;  // "PS3M"
 constexpr uint32_t kManifestVersion = 2;
-constexpr uint32_t kManifestVersionV1 = 1;
 constexpr const char* kManifestName = "manifest.ps3m";
 /// Floor for the adaptive hedge delay.
 constexpr size_t kMinHedgeDelayUs = 500;
@@ -135,8 +134,7 @@ Result<std::unique_ptr<PartitionStore>> PartitionStore::Open(
   auto magic = r.GetU32();
   auto version = r.GetU32();
   if (!magic.ok() || *magic != kManifestMagic) return corrupt("bad magic");
-  if (!version.ok() || (*version != kManifestVersion &&
-                        *version != kManifestVersionV1)) {
+  if (!version.ok() || *version != kManifestVersion) {
     return corrupt("unsupported version");
   }
   auto num_rows = r.GetU64();
@@ -168,18 +166,10 @@ Result<std::unique_ptr<PartitionStore>> PartitionStore::Open(
     part_bytes[i] = static_cast<size_t>(*bytes);
     total_rows += *rows;
     part_col_bytes[i].resize(schema.num_columns());
-    if (*version == kManifestVersionV1) {
-      // v1 spills are raw-only, so encoded == decoded segment sizes.
-      for (size_t c = 0; c < schema.num_columns(); ++c) {
-        part_col_bytes[i][c] =
-            ColumnSegmentBytes(schema, c, part_rows[i]);
-      }
-    } else {
-      for (size_t c = 0; c < schema.num_columns(); ++c) {
-        auto col_bytes = r.GetU64();
-        if (!col_bytes.ok()) return corrupt("truncated partition map");
-        part_col_bytes[i][c] = static_cast<size_t>(*col_bytes);
-      }
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      auto col_bytes = r.GetU64();
+      if (!col_bytes.ok()) return corrupt("truncated partition map");
+      part_col_bytes[i][c] = static_cast<size_t>(*col_bytes);
     }
   }
   if (total_rows != *num_rows) return corrupt("partition rows don't sum");
@@ -566,11 +556,10 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumns(
 }
 
 storage::PinnedPartition PartitionStore::AssemblePinned(
-    size_t i, std::vector<std::shared_ptr<const CachedColumn>> data,
-    std::vector<std::shared_ptr<const void>> tokens) const {
+    size_t i, const LoadedColumns& data, PartitionCache::PinSet pins) const {
   struct AssembledPartition {
     storage::Table table;
-    std::vector<std::shared_ptr<const void>> tokens;
+    PartitionCache::PinSet pins;
   };
   std::vector<storage::Column> columns;
   columns.reserve(schema_.num_columns());
@@ -586,9 +575,74 @@ storage::PinnedPartition PartitionStore::AssemblePinned(
   const size_t rows = part_rows_[i];
   auto owner = std::make_shared<const AssembledPartition>(AssembledPartition{
       storage::Table::FromPrunedColumns(schema_, std::move(columns), rows),
-      std::move(tokens)});
+      std::move(pins)});
   storage::Partition view(&owner->table, 0, rows);
   return storage::PinnedPartition(view, std::move(owner));
+}
+
+std::vector<size_t> PartitionStore::UnclaimedLocked(
+    size_t i, const std::vector<size_t>& cols) const {
+  std::vector<size_t> out;
+  for (size_t c : cols) {
+    const ColumnKey key{i, c};
+    if (loading_.count(key) == 0 && !cache_.Contains(key)) out.push_back(c);
+  }
+  return out;
+}
+
+Status PartitionStore::ClaimAndLoad(size_t i, const std::vector<size_t>& cols,
+                                    const CancelToken* cancel,
+                                    PartitionCache::PinSet* pins,
+                                    LoadedColumns* data) {
+  // The guard, not straight-line code, clears the loading marks and wakes
+  // waiters, on every exit path including a throwing load: nothing else
+  // ever clears a mark, so one left behind would wedge its waiters
+  // forever. It therefore owns each mark from the moment the mark is
+  // set: `claim` is reserved before the first insert, so a throwing
+  // insert leaves it holding exactly the marks set so far.
+  struct LoadingGuard {
+    PartitionStore* store;
+    size_t part;
+    std::vector<size_t> claim;
+    bool failed = false;
+    ~LoadingGuard() {
+      if (claim.empty()) return;
+      {
+        std::lock_guard<std::mutex> lock(store->load_mu_);
+        for (size_t c : claim) store->loading_.erase(ColumnKey{part, c});
+        if (failed) ++store->store_stats_.load_errors;
+      }
+      store->load_cv_.notify_all();
+    }
+  } guard{this, i, {}};
+  {
+    std::lock_guard<std::mutex> lock(load_mu_);
+    const std::vector<size_t> unclaimed = UnclaimedLocked(i, cols);
+    if (unclaimed.empty()) return Status::OK();
+    guard.claim.reserve(unclaimed.size());
+    for (size_t c : unclaimed) {
+      loading_.insert(ColumnKey{i, c});
+      guard.claim.push_back(c);
+    }
+    ++store_stats_.cold_loads;
+  }
+  const std::vector<size_t>& claim = guard.claim;
+  auto loaded = LoadColumns(i, claim, cancel);
+  if (!loaded.ok()) {
+    // An abort is not a load error: the guard still clears the marks and
+    // wakes waiters (who re-claim and load for themselves), but the
+    // store's error counter only tracks real IO failures.
+    guard.failed = !IsAbort(loaded.status());
+    return loaded.status();
+  }
+  // Inserted before the guard clears the marks, so a waiter that wakes
+  // up finds the entries instead of reloading them.
+  for (size_t k = 0; k < claim.size(); ++k) {
+    auto resident = cache_.Insert(ColumnKey{i, claim[k]},
+                                  std::move((*loaded)[k]), pins);
+    if (data != nullptr) (*data)[claim[k]] = std::move(resident);
+  }
+  return Status::OK();
 }
 
 Result<storage::PinnedPartition> PartitionStore::Fetch(
@@ -597,17 +651,16 @@ Result<storage::PinnedPartition> PartitionStore::Fetch(
     return Status::OutOfRange("partition index out of range");
   }
   const std::vector<size_t> needed = columns.Resolve(schema_.num_columns());
-  // data[c] = the pinned segment serving column c; tokens hold the pins
-  // (one batch token per cache pass, one ColumnPin per cold-loaded
-  // segment) and release them all when the assembled view is dropped.
-  std::vector<std::shared_ptr<const CachedColumn>> data(
-      schema_.num_columns());
-  std::vector<std::shared_ptr<const void>> tokens;
+  // data[c] = the pinned segment serving column c; `pins` holds every pin
+  // this fetch takes and releases them in one pass when the assembled
+  // view — or an early return — drops it.
+  LoadedColumns data(schema_.num_columns());
+  PartitionCache::PinSet pins(&cache_);
   std::vector<ColumnKey> want;
-  std::vector<std::shared_ptr<const CachedColumn>> got;
+  LoadedColumns got;
   for (;;) {
-    // Cooperative abort between passes: the early return drops `data`
-    // and `tokens`, releasing every pin this fetch already took.
+    // Cooperative abort between passes: the early return drops `pins`,
+    // releasing every pin this fetch already took.
     if (cancel != nullptr) {
       Status live = cancel->Check();
       if (!live.ok()) return live;
@@ -619,9 +672,7 @@ Result<storage::PinnedPartition> PartitionStore::Fetch(
     if (!want.empty()) {
       // One lock for the whole partition's lookups (and one batched
       // release later) instead of per-column traffic on the cache mutex.
-      if (auto token = cache_.AcquireManyPinned(want, &got)) {
-        tokens.push_back(std::move(token));
-      }
+      cache_.AcquireMany(want, &got, &pins);
       for (size_t k = 0; k < want.size(); ++k) {
         if (got[k] != nullptr) data[want[k].col] = std::move(got[k]);
       }
@@ -630,92 +681,27 @@ Result<storage::PinnedPartition> PartitionStore::Fetch(
     for (size_t c : needed) {
       if (data[c] == nullptr) missing.push_back(c);
     }
-    if (missing.empty()) {
-      return AssemblePinned(i, std::move(data), std::move(tokens));
-    }
-
-    std::vector<size_t> claim;
-    {
-      std::unique_lock<std::mutex> lock(load_mu_);
-      for (size_t c : missing) {
-        if (loading_.count(ColumnKey{i, c}) == 0) claim.push_back(c);
+    if (missing.empty()) return AssemblePinned(i, data, std::move(pins));
+    PS3_RETURN_IF_ERROR(ClaimAndLoad(i, missing, cancel, &pins, &data));
+    // Single flight: the segments this fetch did not claim are cached by
+    // now or being read by someone else, whose guard clears the marks
+    // only after inserting. Wait for those marks and retry the cache
+    // instead of duplicating the IO. The token is polled every 200 us so
+    // a waiter whose deadline fires mid-flight unblocks without waiting
+    // out another query's (possibly much longer) load.
+    std::unique_lock<std::mutex> lock(load_mu_);
+    auto in_flight = [&] {
+      return std::any_of(missing.begin(), missing.end(), [&](size_t c) {
+        return data[c] == nullptr && loading_.count(ColumnKey{i, c}) != 0;
+      });
+    };
+    while (in_flight()) {
+      if (cancel != nullptr) {
+        Status live = cancel->Check();
+        if (!live.ok()) return live;
       }
-      if (claim.empty()) {
-        // Single flight: every missing segment is already being read by
-        // someone; wait for them and retry the cache instead of
-        // duplicating the IO. The wait is bounded: a loader that died
-        // without unwinding (so its guard never cleared the marks) used
-        // to wedge waiters forever — now a timed-out waiter breaks the
-        // stale claim and re-claims the load on the next pass. If the
-        // original loader was merely slow and finishes anyway, its
-        // duplicate insert is benign (the cache keeps the existing
-        // entry) and its guard's mark-erase just wakes waiters early.
-        auto landed = [&] {
-          for (size_t c : missing) {
-            if (loading_.count(ColumnKey{i, c}) != 0) return false;
-          }
-          return true;
-        };
-        const size_t wait_cap_us = options_.single_flight_wait_us;
-        const auto wait_start = std::chrono::steady_clock::now();
-        while (!landed()) {
-          if (cancel != nullptr) {
-            // Poll the token between waits so a waiter whose deadline
-            // fires mid-flight unblocks without waiting out another
-            // query's (possibly much longer) load. The poll period only
-            // bounds abort latency — wakeups still come from the
-            // loaders' notify.
-            Status live = cancel->Check();
-            if (!live.ok()) return live;
-          }
-          if (wait_cap_us > 0 &&
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - wait_start)
-                      .count() >= static_cast<int64_t>(wait_cap_us)) {
-            ++store_stats_.single_flight_timeouts;
-            for (size_t c : missing) loading_.erase(ColumnKey{i, c});
-            break;
-          }
-          load_cv_.wait_for(lock, std::chrono::microseconds(200));
-        }
-        continue;
-      }
-      // A load may have landed between our cache miss and this lock.
-      claim.erase(std::remove_if(claim.begin(), claim.end(),
-                                 [&](size_t c) {
-                                   return cache_.Contains(ColumnKey{i, c});
-                                 }),
-                  claim.end());
-      if (claim.empty()) continue;
-      for (size_t c : claim) loading_.insert(ColumnKey{i, c});
-      ++store_stats_.cold_loads;
+      load_cv_.wait_for(lock, std::chrono::microseconds(200));
     }
-    // The guard — not straight-line code — clears the loading marks, so a
-    // throwing load (e.g. bad_alloc during rehydration) can't wedge the
-    // waiters forever. Insertion into the cache happens *before* the
-    // guard releases, so a waiter that wakes up finds the entries instead
-    // of reloading them.
-    LoadingGuard guard(this, i, claim);
-    auto loaded = LoadColumns(i, claim, cancel);
-    if (!loaded.ok()) {
-      // An abort is not a load error: the guard still clears the claim
-      // marks and wakes waiters (who re-claim and load for themselves),
-      // but the store's error counter only tracks real IO failures.
-      const StatusCode code = loaded.status().code();
-      if (code != StatusCode::kCancelled &&
-          code != StatusCode::kDeadlineExceeded) {
-        guard.set_failed();
-      }
-      return loaded.status();
-    }
-    for (size_t k = 0; k < claim.size(); ++k) {
-      ColumnPin pin = cache_.InsertPinned(ColumnKey{i, claim[k]},
-                                          std::move((*loaded)[k]));
-      data[claim[k]] = pin;  // the pin token doubles as the data ref
-      tokens.push_back(std::move(pin));
-    }
-    // Segments claimed by other threads (if any) are picked up by the
-    // next retry of the cache.
   }
 }
 
@@ -723,44 +709,14 @@ Status PartitionStore::Preload(size_t i, const storage::ColumnSet& columns) {
   if (i >= num_partitions()) {
     return Status::OutOfRange("partition index out of range");
   }
-  const std::vector<size_t> needed = columns.Resolve(schema_.num_columns());
-  std::vector<size_t> claim;
-  {
-    std::lock_guard<std::mutex> lock(load_mu_);
-    for (size_t c : needed) {
-      // Segments cached or mid-load are someone else's work already.
-      if (loading_.count(ColumnKey{i, c}) == 0 &&
-          !cache_.Contains(ColumnKey{i, c})) {
-        claim.push_back(c);
-      }
-    }
-    if (claim.empty()) return Status::OK();
-    for (size_t c : claim) loading_.insert(ColumnKey{i, c});
-    ++store_stats_.cold_loads;
-  }
-  LoadingGuard guard(this, i, claim);
-  auto loaded = LoadColumns(i, claim);
-  if (!loaded.ok()) {
-    guard.set_failed();
-    return loaded.status();
-  }
-  for (size_t k = 0; k < claim.size(); ++k) {
-    cache_.Insert(ColumnKey{i, claim[k]}, std::move((*loaded)[k]));
-  }
-  return Status::OK();
+  return ClaimAndLoad(i, columns.Resolve(schema_.num_columns()), nullptr,
+                      nullptr, nullptr);
 }
 
 std::vector<size_t> PartitionStore::UnstagedColumns(
     size_t i, const std::vector<size_t>& cols) const {
-  std::vector<size_t> out;
   std::lock_guard<std::mutex> lock(load_mu_);
-  for (size_t c : cols) {
-    if (loading_.count(ColumnKey{i, c}) == 0 &&
-        !cache_.Contains(ColumnKey{i, c})) {
-      out.push_back(c);
-    }
-  }
-  return out;
+  return UnclaimedLocked(i, cols);
 }
 
 StoreStats PartitionStore::store_stats() const {

@@ -18,14 +18,14 @@
 //
 // Fetch(i, columns) is the scan path: it pins every requested column
 // segment (cache hits where possible), cold-loads the missing ones in a
-// single seek pass, and assembles them into a scan-ready pruned view.
-// Partial residency upgrades naturally: only the missing segments touch
-// disk. Cold loads are single-flight at segment granularity — concurrent
-// fetchers of overlapping column sets each load only segments nobody
-// else is already reading, and wait for the rest (bounded by
-// Options::single_flight_wait_us; a timed-out waiter breaks the stale
-// claim and re-claims the load). Preload() is the prefetch path: same
-// loads, inserted unpinned, never blocking behind an in-flight load of
+// single seek pass, and assembles them into a scan-ready pruned view
+// that holds all of its pins, hits and cold loads alike, in one
+// PartitionCache::PinSet. Partial residency upgrades naturally: only the
+// missing segments touch disk. Cold loads are single-flight at segment
+// granularity — concurrent fetchers of overlapping column sets each
+// claim only segments that are neither cached nor being read, and wait
+// for the rest. Preload() is the prefetch path: the same claim-and-load
+// step, inserted unpinned, never blocking behind an in-flight load of
 // the same segments.
 //
 // Fault tolerance: a seeded io::FaultInjector in Options makes the
@@ -100,8 +100,6 @@ struct StoreStats {
   /// loads rejected while open.
   uint64_t breaker_opens = 0;
   uint64_t breaker_open_rejects = 0;
-  /// Single-flight waits that hit the timeout and re-claimed the load.
-  uint64_t single_flight_timeouts = 0;
 };
 
 class PartitionStore {
@@ -147,12 +145,6 @@ class PartitionStore {
       size_t max_delay_us = 100000;
     };
     HedgeOptions hedge;
-    /// Upper bound on a single-flight wait for another fetcher's
-    /// in-flight load of the same segments. On timeout the waiter counts
-    /// it, breaks the stale claim, and re-claims the load itself — so a
-    /// loader that died without unwinding can no longer wedge waiters
-    /// forever. 0 = wait indefinitely (the pre-PR behavior).
-    size_t single_flight_wait_us = 5000000;
   };
 
   struct SpillOptions {
@@ -191,7 +183,6 @@ class PartitionStore {
   /// *Encoded* (on-disk) byte size of one column segment of partition
   /// `i`, from the manifest — the unit for bytes_read expectations, the
   /// simulated bandwidth model, and the prefetch read-ahead budget.
-  /// v1 manifests carry no per-segment sizes; raw sizes are assumed.
   size_t encoded_column_bytes(size_t i, size_t col) const;
   /// Sum of encoded_column_bytes over `cols` (concrete indices).
   size_t encoded_columns_bytes(size_t i,
@@ -232,7 +223,7 @@ class PartitionStore {
   /// mid-load — the prefetcher's admission filter, so overlapping
   /// stage-ahead windows don't re-reserve read-ahead budget for
   /// segments another pass is already reading. Advisory: a point-in-time
-  /// answer that Preload re-checks under the load lock.
+  /// answer from the same filter Fetch and Preload claim through.
   std::vector<size_t> UnstagedColumns(size_t i,
                                       const std::vector<size_t>& cols) const;
 
@@ -259,32 +250,23 @@ class PartitionStore {
                  std::vector<std::vector<size_t>> part_col_bytes,
                  std::vector<std::shared_ptr<storage::Dictionary>> dicts);
 
-  /// RAII owner of a batch of single-flight loading marks: erases them
-  /// and wakes waiters on every exit path, including a throwing load —
-  /// otherwise one failed load would wedge all later fetchers forever.
-  class LoadingGuard {
-   public:
-    LoadingGuard(PartitionStore* store, size_t part,
-                 const std::vector<size_t>& cols)
-        : store_(store), part_(part), cols_(cols) {}
-    ~LoadingGuard() {
-      {
-        std::lock_guard<std::mutex> lock(store_->load_mu_);
-        for (size_t c : cols_) store_->loading_.erase(ColumnKey{part_, c});
-        if (failed_) ++store_->store_stats_.load_errors;
-      }
-      store_->load_cv_.notify_all();
-    }
-    void set_failed() { failed_ = true; }
-
-   private:
-    PartitionStore* store_;
-    size_t part_;
-    std::vector<size_t> cols_;
-    bool failed_ = false;
-  };
-
   using LoadedColumns = std::vector<std::shared_ptr<const CachedColumn>>;
+
+  /// Columns of `cols` whose segments of partition `i` are neither cached
+  /// nor loading: the one claim filter behind Fetch, Preload and
+  /// UnstagedColumns. Caller holds load_mu_.
+  std::vector<size_t> UnclaimedLocked(size_t i,
+                                      const std::vector<size_t>& cols) const;
+  /// The one claim-and-load step: marks the unclaimed segments among
+  /// `cols` loading, loads them through LoadColumns, and inserts them
+  /// into the cache before the marks clear — pinned into `*pins` with
+  /// (*data)[c] filled (Fetch), or unpinned when `pins` is null
+  /// (Preload). A failure that is not an abort counts as a load error.
+  /// Claims nothing, and returns OK, when every segment is cached or
+  /// already loading.
+  Status ClaimAndLoad(size_t i, const std::vector<size_t>& cols,
+                      const CancelToken* cancel, PartitionCache::PinSet* pins,
+                      LoadedColumns* data);
 
   /// The resilient load for one claimed segment batch: circuit-breaker
   /// admission, then up to retry.max_attempts physical passes (hedged
@@ -320,11 +302,10 @@ class PartitionStore {
   /// 0 for "don't hedge yet" (no samples and no fixed delay).
   size_t HedgeDelayUs() const;
   /// Builds the scan view for partition `i` from the pinned segment data
-  /// (indexed by column; null = pruned) plus the pin tokens that keep
-  /// them alive and release them when the view is dropped.
-  storage::PinnedPartition AssemblePinned(
-      size_t i, std::vector<std::shared_ptr<const CachedColumn>> data,
-      std::vector<std::shared_ptr<const void>> tokens) const;
+  /// (indexed by column; null = pruned) plus the pin set that releases
+  /// them when the view is dropped.
+  storage::PinnedPartition AssemblePinned(size_t i, const LoadedColumns& data,
+                                          PartitionCache::PinSet pins) const;
   std::string PartitionPath(size_t i) const;
 
   const std::string dir_;
@@ -334,7 +315,7 @@ class PartitionStore {
   const std::vector<size_t> part_rows_;
   const std::vector<size_t> part_bytes_;
   /// part_col_bytes_[i][c] = encoded payload bytes of partition i's
-  /// column-c segment (manifest v2; derived raw sizes for v1).
+  /// column-c segment, from the manifest.
   const std::vector<std::vector<size_t>> part_col_bytes_;
   size_t total_bytes_ = 0;
   /// Shared per-column dictionaries (null for numeric columns); every

@@ -143,11 +143,6 @@ QueryScheduler::~QueryScheduler() {
   for (std::thread& d : drivers_) d.join();
 }
 
-size_t QueryScheduler::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queues_[0].size() + queues_[1].size() + executing_;
-}
-
 void QueryScheduler::Enqueue(std::function<void()> task,
                              QueryClass query_class) {
   {
@@ -175,15 +170,10 @@ void QueryScheduler::DriverMain() {
       if (q.empty()) return;
       task = std::move(q.front());
       q.pop_front();
-      ++executing_;
     }
     // packaged_task catches the body's exception and parks it in the
     // future, so a throwing query can't take the driver down.
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --executing_;
-    }
   }
 }
 

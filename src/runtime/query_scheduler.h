@@ -169,8 +169,6 @@ class QueryScheduler {
 
   WorkerPool& pool() const { return *pool_; }
   size_t num_drivers() const { return drivers_.size(); }
-  /// Tasks admitted but not yet finished (queued + executing).
-  size_t pending() const;
 
   /// Admits an exact aggregate query. The future resolves to the
   /// finalized answer (every partition, weight 1), bit-identical to
@@ -287,13 +285,12 @@ class QueryScheduler {
   WorkerPool* pool_;
   std::vector<std::thread> drivers_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   /// Two-level priority queue: queues_[1] (interactive) drains before
   /// queues_[0] (batch); FIFO within each. Guarded by mu_.
   std::deque<std::function<void()>> queues_[2];
-  size_t executing_ = 0;  ///< guarded by mu_
-  bool stop_ = false;     ///< guarded by mu_
+  bool stop_ = false;  ///< guarded by mu_
 };
 
 }  // namespace ps3::runtime

@@ -279,7 +279,9 @@ TEST(FilterBySelectivity, PerfectRecallOnNumericRange) {
   for (size_t p = 0; p < answers.size(); ++p) {
     bool has_rows = !answers[p].empty() &&
                     answers[p].begin()->second[0].count > 0;
-    if (has_rows) EXPECT_TRUE(cand_set.count(p)) << p;
+    if (has_rows) {
+      EXPECT_TRUE(cand_set.count(p)) << p;
+    }
   }
 }
 

@@ -351,10 +351,11 @@ TEST(PartitionFile, CorruptFooterMetadataIsDetected) {
   }
 }
 
-TEST(PartitionFile, V1RawFileStillReadable) {
-  // Hand-write a version-1 file (raw-only segments, 25-byte footer
-  // entries): v2 readers must keep opening spills from before the
-  // encoding change.
+TEST(PartitionFile, V1RawFileIsRejected) {
+  // Hand-write a well-formed version-1 file (raw-only segments, 25-byte
+  // footer entries, valid checksums). Nothing writes v1 any more, so the
+  // reader rejects it like any other unknown version, for full and
+  // pruned reads alike.
   storage::Schema schema({{"n", storage::ColumnType::kNumeric},
                           {"c", storage::ColumnType::kCategorical}});
   auto dict = std::make_shared<storage::Dictionary>();
@@ -392,17 +393,17 @@ TEST(PartitionFile, V1RawFileStillReadable) {
   ASSERT_TRUE(w.WriteFile(path).ok());
 
   std::vector<std::shared_ptr<storage::Dictionary>> dicts = {nullptr, dict};
-  auto loaded = io::ReadPartitionFile(path, schema, dicts);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->num_rows(), nums.size());
-  for (size_t r = 0; r < nums.size(); ++r) {
-    uint64_t want, got;
-    const double gv = loaded->column(0).NumericAt(r);
-    std::memcpy(&want, &nums[r], sizeof(want));
-    std::memcpy(&got, &gv, sizeof(got));
-    EXPECT_EQ(want, got) << "row " << r;
-    EXPECT_EQ(loaded->column(1).CodeAt(r), codes[r]) << "row " << r;
-  }
+  auto full = io::ReadPartitionFile(path, schema, dicts);
+  ASSERT_FALSE(full.ok());
+  EXPECT_NE(full.status().message().find("unsupported version"),
+            std::string::npos)
+      << full.status().ToString();
+  auto pruned = io::ReadPartitionColumns(path, schema, dicts,
+                                         storage::ColumnSet::Of({0}));
+  ASSERT_FALSE(pruned.ok());
+  EXPECT_NE(pruned.status().message().find("unsupported version"),
+            std::string::npos)
+      << pruned.status().ToString();
 }
 
 TEST(PartitionFile, V2UnknownEncodingIdIsRejected) {
@@ -590,6 +591,38 @@ TEST(PartitionStore, CorruptManifestFailsOpen) {
   EXPECT_NE(store.status().message().find("checksum"), std::string::npos);
 }
 
+TEST(PartitionStore, V1ManifestIsRejected) {
+  auto bundle = workload::MakeAria(300, /*seed=*/13);
+  storage::PartitionedTable pt(bundle.table, 3);
+  const ScratchDir dir("ps3_io_");
+  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
+  const std::string path = dir.path() + "/manifest.ps3m";
+  auto spilled = BinaryReader::FromFile(path);
+  ASSERT_TRUE(spilled.ok());
+  const std::vector<uint8_t> bytes = spilled->data();
+  // Rewrites the manifest's version field and recomputes its checksum,
+  // so the version is the only thing a reader can object to.
+  auto relabel = [&](uint32_t version) {
+    BinaryWriter w;
+    w.PutU32(0x4D335350u);  // 'PS3M'
+    w.PutU32(version);
+    for (size_t k = 8; k + 8 < bytes.size(); ++k) w.PutU8(bytes[k]);
+    w.PutU64(Fnv1a64(w.buffer().data(), w.buffer().size()));
+    return w.WriteFile(path);
+  };
+  ASSERT_TRUE(relabel(2).ok());
+  ASSERT_TRUE(io::PartitionStore::Open(dir, {}).ok());
+
+  // Version 1 (no per-segment sizes) is no longer read: it fails Open
+  // like any other unknown version.
+  ASSERT_TRUE(relabel(1).ok());
+  auto store = io::PartitionStore::Open(dir, {});
+  ASSERT_FALSE(store.ok());
+  EXPECT_NE(store.status().message().find("unsupported version"),
+            std::string::npos)
+      << store.status().ToString();
+}
+
 TEST(PartitionStore, CorruptPartitionFailsFetchAndScan) {
   auto bundle = workload::MakeAria(400, /*seed=*/17);
   storage::PartitionedTable pt(bundle.table, 4);
@@ -701,6 +734,52 @@ TEST(PartitionCache, PinnedEntriesSurviveEviction) {
   pinned0 = Status::Internal("replaced");  // drop the pin
   EXPECT_LE((*store)->cache().bytes_cached(), opts.cache_budget_bytes);
   EXPECT_EQ((*store)->cache().stats().bytes_pinned, 0u);
+}
+
+TEST(PartitionCache, HeldViewPinsHitsAndReleasesThemAtTheColdEnd) {
+  auto bundle = workload::MakeAria(800, /*seed=*/29);
+  storage::PartitionedTable pt(bundle.table, 8);
+  const ScratchDir dir("ps3_io_");
+  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
+
+  io::PartitionStore::Options opts;
+  auto probe = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(probe.ok());
+  const std::vector<size_t> all_cols =
+      storage::ColumnSet::All().Resolve((*probe)->schema().num_columns());
+  const size_t part_bytes = (*probe)->columns_bytes(0, all_cols);
+  ASSERT_EQ((*probe)->columns_bytes(2, all_cols), part_bytes);
+  // Room for exactly two partitions' decoded segments.
+  opts.cache_budget_bytes = 2 * part_bytes;
+  auto store = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(store.ok());
+  const io::PartitionCache& cache = (*store)->cache();
+
+  // Partition 1 is staged and never scanned; two of partition 0's
+  // segments are left cached by an earlier narrow scan.
+  ASSERT_TRUE((*store)->Preload(1).ok());
+  ASSERT_TRUE((*store)->Fetch(0, storage::ColumnSet::Of({0, 1})).ok());
+  ASSERT_EQ(cache.stats().bytes_pinned, 0u);
+
+  {
+    // The full view mixes 2 cache hits with cold loads of the rest; every
+    // segment it serves, hits included, stays pinned while it is held.
+    const uint64_t hits_before = cache.stats().hits;
+    auto view = (*store)->Fetch(0);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(cache.stats().hits, hits_before + 2);
+    EXPECT_EQ(cache.stats().bytes_pinned, part_bytes);
+  }
+  EXPECT_EQ(cache.stats().bytes_pinned, 0u);
+
+  // Released pins re-enter the LRU at its cold end, behind the staged
+  // partition 1, so partition 2's loads evict partition 0 and spare 1.
+  ASSERT_TRUE((*store)->Fetch(2).ok());
+  EXPECT_TRUE(cache.ContainsAll(1, all_cols));
+  EXPECT_TRUE(cache.ContainsAll(2, all_cols));
+  for (size_t c : all_cols) {
+    EXPECT_FALSE(cache.Contains(io::ColumnKey{0, c})) << "column " << c;
+  }
 }
 
 TEST(PartitionStore, SingleFlightColdLoads) {
@@ -1909,52 +1988,6 @@ TEST(FaultBattery, HedgeDelayEstimateSurvivesFastSamples) {
       << "fast samples must decay the estimate, not wrap it";
 }
 
-TEST(FaultBattery, SingleFlightTimeoutStealsAndReclaims) {
-  auto bundle = workload::MakeKdd(700, /*seed=*/137);
-  storage::PartitionedTable pt(bundle.table, 4);
-  const ScratchDir dir("ps3_io_");
-  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
-
-  // The first loader of partition 0 rides out a 400ms spike while
-  // holding the single-flight marks. A waiter bounded at 30ms must time
-  // out, break the stale claim, re-claim the load itself (attempt 1 is
-  // clean), and return long before the original loader lands.
-  io::FaultRule spike = RuleFor(0, 0, 1, io::FaultKind::kLatency);
-  spike.latency_us = 400000;
-  io::FaultPlan plan;
-  plan.rules.push_back(spike);
-  io::PartitionStore::Options opts = FaultOptions(plan);
-  opts.single_flight_wait_us = 30000;
-  auto store = io::PartitionStore::Open(dir, opts);
-  ASSERT_TRUE(store.ok());
-
-  std::promise<void> loader_started;
-  std::thread loader([&] {
-    loader_started.set_value();
-    auto slow = (*store)->Fetch(0);
-    EXPECT_TRUE(slow.ok()) << slow.status().ToString();
-  });
-  loader_started.get_future().wait();
-  // Let the loader claim its marks and enter the spike sleep.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  const auto start = std::chrono::steady_clock::now();
-  {
-    auto stolen = (*store)->Fetch(0);
-    const auto elapsed =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start);
-    ASSERT_TRUE(stolen.ok()) << stolen.status().ToString();
-    EXPECT_EQ(stolen->view().num_rows(), pt.partition_rows(0));
-    EXPECT_LT(elapsed.count(), 300) << "waiter must not ride out the spike";
-  }
-  loader.join();
-
-  EXPECT_GE((*store)->store_stats().single_flight_timeouts, 1u);
-  EXPECT_EQ((*store)->store_stats().load_errors, 0u);
-  EXPECT_EQ((*store)->cache().stats().bytes_pinned, 0u);
-}
-
 TEST(FaultBattery, AbortsCountInNoErrorCounter) {
   auto bundle = workload::MakeAria(500, /*seed=*/139);
   storage::PartitionedTable pt(bundle.table, 4);
@@ -2034,7 +2067,6 @@ TEST(FaultBattery, ZeroFaultPlanIsIdenticalToNoInjector) {
     EXPECT_EQ(s.retries, 0u);
     EXPECT_EQ(s.hedged_loads, 0u);
     EXPECT_EQ(s.breaker_opens, 0u);
-    EXPECT_EQ(s.single_flight_timeouts, 0u);
   }
 }
 

@@ -615,7 +615,7 @@ struct StoreCase {
   /// Cache budget = table bytes / budget_divisor (1 = everything fits).
   size_t budget_divisor;
   /// Spill-time segment encoding; omitted = kAuto (the default policy).
-  io::EncodingMode encoding;
+  io::EncodingMode encoding = io::EncodingMode::kAuto;
 };
 
 class StoreRoundtripInvariance : public ::testing::TestWithParam<StoreCase> {
