@@ -5,7 +5,8 @@
 //                     worker lanes, plus the sharded fan-out;
 //   io_results        resident vs cold-with-prefetch vs cold-no-prefetch
 //                     over a spilled io::PartitionStore, with cache hit
-//                     rates;
+//                     rates (cold_prefetch: the median of three passes,
+//                     with the hit rate's min and max);
 //   column_results    a wide table cold-scanned with the query's
 //                     referenced-column hint (pruned) vs full rehydration,
 //                     in bytes read per row;
@@ -344,12 +345,15 @@ int main() {
       static_cast<double>(rows) * static_cast<double>(cold_queries.size());
 
   // Out-of-core scan path: the same sharded fan-out with the partitions
-  // resident, cold on disk with shard-granular prefetch, and cold with no
+  // resident, cold on disk with plan read-ahead, and cold with no
   // read-ahead. Cold modes drop the cache before every query, so every
   // partition load pays the (simulated) remote-store latency; the
   // prefetch rows measure how much of that wait the pipeline hides.
   // cache_hit_rate is the fraction of scan fetches served by the cache
-  // (prefetch staging counts as a hit).
+  // (prefetch staging counts as a hit). Read-ahead races the scan, so one
+  // pass's hit rate is noise: cold_prefetch rows report the median
+  // seconds and hit rate of kPrefetchTrials passes, with the hit rate's
+  // min and max (one pass, so min = max, for the other modes).
   std::printf("  \"io_results\": [\n");
   if (io_enabled) {
     const size_t io_shards =
@@ -377,11 +381,15 @@ int main() {
       }
     }
 
+    constexpr size_t kPrefetchTrials = 3;
     struct IoRow {
       const char* mode;
       size_t threads;
-      double secs;
+      size_t trials;
+      double secs;  ///< median over trials, as is hit_rate
       double hit_rate;
+      double hit_min;
+      double hit_max;
     };
     std::vector<IoRow> io_rows;
     for (size_t t : thread_counts) {
@@ -394,55 +402,65 @@ int main() {
         const storage::ShardedTable st(table, io_shards);
         const storage::ResidentShardedSource sharded(st);
         TimeAll(cold_queries, sharded, opts);  // warm-up
-        io_rows.push_back(
-            {"resident", t, TimeAll(cold_queries, sharded, opts), 1.0});
+        io_rows.push_back({"resident", t, 1,
+                           TimeAll(cold_queries, sharded, opts), 1.0, 1.0,
+                           1.0});
       }
 
       // Cold modes skip the warm-up pass: the cache is dropped before
       // every query anyway, and lanes/scratch are warm from the sweeps
       // above, so a second multi-second cold pass would measure nothing.
       auto timed_cold = [&](const char* mode, io::PrefetchPipeline* pipeline,
-                            io::ColdShardedSource* src) {
-        const io::CacheStats before = store.cache().stats();
-        double secs = 0.0;
-        for (const auto& q : cold_queries) {
-          if (pipeline != nullptr) pipeline->Drain();
-          store.cache().Clear();
-          auto start = Clock::now();
-          auto answers = query::EvaluateAllPartitions(q, *src, opts);
-          secs += SecondsSince(start);
-          if (answers.empty()) std::abort();
+                            io::ColdShardedSource* src, size_t trials) {
+        std::vector<double> secs(trials, 0.0);
+        std::vector<double> hit_rates(trials, 0.0);
+        for (size_t k = 0; k < trials; ++k) {
+          const io::CacheStats before = store.cache().stats();
+          for (const auto& q : cold_queries) {
+            if (pipeline != nullptr) pipeline->Drain();
+            store.cache().Clear();
+            auto start = Clock::now();
+            auto answers = query::EvaluateAllPartitions(q, *src, opts);
+            secs[k] += SecondsSince(start);
+            if (answers.empty()) std::abort();
+          }
+          const io::CacheStats after = store.cache().stats();
+          const double lookups = static_cast<double>(
+              (after.hits - before.hits) + (after.misses - before.misses));
+          hit_rates[k] = lookups > 0.0
+                             ? static_cast<double>(after.hits - before.hits) /
+                                   lookups
+                             : 0.0;
         }
-        const io::CacheStats after = store.cache().stats();
-        const double lookups = static_cast<double>(
-            (after.hits - before.hits) + (after.misses - before.misses));
-        const double hit_rate =
-            lookups > 0.0 ? static_cast<double>(after.hits - before.hits) /
-                                lookups
-                          : 0.0;
-        io_rows.push_back(IoRow{mode, t, secs, hit_rate});
+        std::sort(secs.begin(), secs.end());
+        std::sort(hit_rates.begin(), hit_rates.end());
+        io_rows.push_back(IoRow{mode, t, trials, secs[trials / 2],
+                                hit_rates[trials / 2], hit_rates.front(),
+                                hit_rates.back()});
       };
 
       {  // cold, no read-ahead: every fetch pays the load latency inline.
         io::ColdShardedSource src(&store, io_shards);
-        timed_cold("cold_noprefetch", nullptr, &src);
+        timed_cold("cold_noprefetch", nullptr, &src, 1);
       }
-      {  // cold + prefetch: next shard staged while this one scans.
+      {  // cold + prefetch: the plan fits a quarter of the cache, so the
+         // first shard entry stages all of it.
         runtime::QueryScheduler scheduler;
         io::PrefetchPipeline pipeline(&store, &scheduler);
         io::ColdShardedSource src(&store, io_shards,
                                   storage::ShardAssignment::kRange, &pipeline);
-        timed_cold("cold_prefetch", &pipeline, &src);
+        timed_cold("cold_prefetch", &pipeline, &src, kPrefetchTrials);
       }
     }
     for (size_t i = 0; i < io_rows.size(); ++i) {
       const IoRow& r = io_rows[i];
       std::printf(
           "    {\"io\": \"%s\", \"threads\": %zu, \"shards\": %zu, "
-          "\"delay_us\": %zu, \"seconds\": %.4f, \"rows_per_sec\": %.3e, "
-          "\"cache_hit_rate\": %.3f}%s\n",
-          r.mode, r.threads, io_shards, delay_us, r.secs,
-          cold_rows_total / r.secs, r.hit_rate,
+          "\"delay_us\": %zu, \"trials\": %zu, \"seconds\": %.4f, "
+          "\"rows_per_sec\": %.3e, \"cache_hit_rate\": %.3f, "
+          "\"cache_hit_rate_min\": %.3f, \"cache_hit_rate_max\": %.3f}%s\n",
+          r.mode, r.threads, io_shards, delay_us, r.trials, r.secs,
+          cold_rows_total / r.secs, r.hit_rate, r.hit_min, r.hit_max,
           i + 1 < io_rows.size() ? "," : "");
     }
   }

@@ -62,6 +62,15 @@ std::shared_ptr<const CachedColumn> PartitionCache::Insert(
   return resident;
 }
 
+void PartitionCache::Touch(const std::vector<ColumnKey>& keys) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const ColumnKey& key : keys) {
+    auto it = entries_.find(key);
+    if (it == entries_.end() || it->second.pins > 0) continue;
+    lru_.splice(lru_.end(), lru_, it->second.lru_it);
+  }
+}
+
 void PartitionCache::ReleaseMany(const std::vector<ColumnKey>& keys) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const ColumnKey& key : keys) {

@@ -20,7 +20,9 @@
 // one pass when the view is dropped. Released pins re-enter the LRU at
 // the *cold end* (scan-resistance): a released segment was just scanned,
 // so it must not outrank staged-but-unscanned read-ahead in eviction
-// order.
+// order. A plan's read-ahead moves the plan's resident segments back to
+// the MRU end (Touch) before its loads land, so a segment an earlier
+// query scanned is not evicted by the plan that is about to scan it.
 //
 // Thread-safe: concurrent queries acquire, insert, and release pins from
 // pool lanes and prefetch drivers at once. The cache must outlive every
@@ -146,6 +148,13 @@ class PartitionCache {
   std::shared_ptr<const CachedColumn> Insert(
       const ColumnKey& key, std::shared_ptr<const CachedColumn> data,
       PinSet* pins = nullptr);
+
+  /// Moves every cached, unpinned segment among `keys` to the LRU's MRU
+  /// end, in order; absent and pinned keys are ignored. The prefetch
+  /// pipeline touches a plan's resident segments before the plan's loads
+  /// can land, so those inserts evict older entries instead of the
+  /// segments the plan's scan is about to read.
+  void Touch(const std::vector<ColumnKey>& keys);
 
   bool Contains(const ColumnKey& key) const;
   /// True iff every column in `cols` of `part` is cached. `cols` must be

@@ -90,10 +90,10 @@ void PrefetchPipeline::Admit(const std::vector<size_t>& parts,
                              const std::vector<size_t>& hinted,
                              QueryClass query_class, Room room) {
   if (parts.empty()) return;
-  const PartitionCache& cache = store_->cache();
+  PartitionCache& cache = store_->cache();
   const size_t budget = cache.budget_bytes();
   const bool batch = query_class == QueryClass::kBatch;
-  bool queued = false;
+  size_t queued = 0;
   {
     // mu_ is held across the store's cached/loading lookups (lanes never
     // hold it while loading, so the order is always mu_ then the
@@ -105,8 +105,22 @@ void PrefetchPipeline::Admit(const std::vector<size_t>& parts,
     const size_t headroom = budget > used ? budget - used : 0;
     const size_t batch_headroom =
         static_cast<size_t>(static_cast<double>(headroom) * batch_share_);
+    // The plan's hinted segments the claim filter left out: cached ones
+    // (and mid-load ones, which Touch ignores).
+    std::vector<ColumnKey> resident;
     for (size_t p : parts) {
       std::vector<size_t> cols = store_->UnstagedColumns(p, hinted);
+      if (room == Room::kEvictable) {
+        // `cols` keeps `hinted`'s order, so one walk finds the rest.
+        size_t k = 0;
+        for (size_t c : hinted) {
+          if (k < cols.size() && cols[k] == c) {
+            ++k;
+          } else {
+            resident.push_back(ColumnKey{p, c});
+          }
+        }
+      }
       cols.erase(std::remove_if(cols.begin(), cols.end(),
                                 [&](size_t c) {
                                   return queued_.count(ColumnKey{p, c}) != 0;
@@ -127,10 +141,14 @@ void PrefetchPipeline::Admit(const std::vector<size_t>& parts,
       (batch ? batch_ : interactive_)
           .push_back(Load{p, std::move(cols), bytes, query_class});
       staged_.fetch_add(1, std::memory_order_relaxed);
-      queued = true;
+      ++queued;
     }
+    // No lane can pop these loads until mu_ is released, so the plan's
+    // resident segments reach the MRU end before any of its inserts
+    // evicts. A bulk plan (kFree) evicts nothing, so it touches nothing.
+    if (queued > 0 && !resident.empty()) cache.Touch(resident);
   }
-  if (queued) work_cv_.notify_all();
+  for (size_t i = 0; i < queued; ++i) work_cv_.notify_one();
 }
 
 void PrefetchPipeline::LaneLoop() {

@@ -9,8 +9,10 @@
 // FIFO queues: interactive loads are served before batch ones. Loads
 // sleep through the store's simulated round trip on those lanes, so read
 // IO concurrency depends neither on the scan's CPU lanes nor on the
-// scheduler's drivers (which are the query admission slots). Stage() and
-// StageAhead() only admit loads and enqueue them; they never wait.
+// scheduler's drivers (which are the query admission slots). There are
+// enough lanes for a picked plan's loads to run in one round-trip wave,
+// and each queued load wakes one lane. Stage() and StageAhead() only
+// admit loads and enqueue them; they never wait.
 //
 // Admission charges decoded bytes against the store's cache budget.
 // Unpinned LRU entries are evictable, so they do not count: the charge is
@@ -18,7 +20,11 @@
 // landed. Batch staging may use only (1 - interactive_reserve_fraction)
 // of that headroom, so batch read-ahead cannot take the room an
 // interactive plan needs. A segment already cached, mid-load, or queued
-// here is never admitted twice.
+// here is never admitted twice. An admission into that evictable room
+// that queues a load first touches the plan's cached segments
+// (PartitionCache::Touch) to the LRU's MRU end, so the plan's own
+// inserts evict older entries, not the segments its scan is about to
+// read.
 //
 // StageAhead windows by plan size. A plan's decoded footprint — every
 // hinted column of every plan partition, read from the manifest, so it
@@ -64,9 +70,12 @@ class PrefetchPipeline {
  public:
   /// IO lanes: threads owned by the pipeline that run staged loads.
   /// Loads are latency-bound (they sleep through the store's round trip),
-  /// so many more lanes than cores is cheap; the lane count also bounds
-  /// the bytes in flight on the link.
-  static constexpr int kLoadLanes = 16;
+  /// so many more lanes than cores is cheap: an idle lane blocks on a
+  /// condition variable and costs its stack. 64 lanes keep a picked plan
+  /// of up to 64 loads in flight at once (a larger one runs in
+  /// ceil(n / 64) waves); the lane count also bounds the bytes in flight
+  /// on the link.
+  static constexpr int kLoadLanes = 64;
 
   struct Options {
     /// Share of the evictable headroom kept for interactive staging:

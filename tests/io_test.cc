@@ -1052,6 +1052,49 @@ TEST(PrefetchPipeline, FullUnpinnedCacheStillStagesSmallPlan) {
   EXPECT_EQ(pipeline.stats().inflight_bytes, 0u);
 }
 
+TEST(PrefetchPipeline, ResidentPlanSegmentsSurviveTheirOwnReadAhead) {
+  // A segment an earlier query scanned sits at the LRU's cold end, which
+  // a plan's own inserts evict first. The plan's read-ahead moves its
+  // resident segments to the MRU end before its loads land, so the scan
+  // finds them cached instead of reloading them a round trip late.
+  auto bundle = workload::MakeKdd(2000, /*seed=*/73);
+  storage::PartitionedTable pt(bundle.table, 20);
+  const ScratchDir dir("ps3_io_");
+  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
+  io::PartitionStore::Options opts;
+  auto probe = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(probe.ok());
+  const std::vector<size_t> all_cols =
+      storage::ColumnSet::All().Resolve((*probe)->schema().num_columns());
+  const size_t part_bytes = (*probe)->columns_bytes(0, all_cols);
+  opts.cache_budget_bytes = part_bytes * 12;
+  auto store = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(store.ok());
+  const io::PartitionCache& cache = (*store)->cache();
+
+  // Scanned and released in order: partition 11 re-entered last, so it
+  // sits at the cold end of a full cache.
+  for (size_t p = 0; p < 12; ++p) ASSERT_TRUE((*store)->Fetch(p).ok());
+  ASSERT_EQ(cache.bytes_cached(), opts.cache_budget_bytes);
+  ASSERT_EQ(cache.stats().bytes_pinned, 0u);
+
+  runtime::QueryScheduler scheduler;
+  io::PrefetchPipeline pipeline(store->get(), &scheduler);
+  // Exactly a quarter of the budget, so the plan is staged whole.
+  pipeline.StageAhead({{11}, {12, 13}}, 0, storage::ColumnSet::All());
+  EXPECT_EQ(pipeline.stats().staged, 2u);
+  EXPECT_EQ(pipeline.stats().skipped_cached, 1u);
+  pipeline.Drain();
+  for (size_t p : {11, 12, 13}) {
+    EXPECT_TRUE(cache.ContainsAll(p, all_cols)) << "partition " << p;
+  }
+  const uint64_t cold_before = (*store)->store_stats().cold_loads;
+  ASSERT_TRUE((*store)->Fetch(11).ok());
+  EXPECT_EQ((*store)->store_stats().cold_loads, cold_before);
+  EXPECT_EQ(pipeline.stats().load_errors, 0u);
+  EXPECT_EQ(pipeline.stats().inflight_bytes, 0u);
+}
+
 TEST(PrefetchPipeline, LoadsLandWhileTheOnlyDriverIsBlocked) {
   // Staged loads run on the pipeline's own IO lanes: a scheduler whose
   // only driver is parked (the driver is a query admission slot) must
@@ -1097,6 +1140,45 @@ TEST(PrefetchPipeline, LoadsLandWhileTheOnlyDriverIsBlocked) {
   EXPECT_TRUE(landed) << "staged loads waited for the scheduler's driver";
   pipeline.Drain();
   EXPECT_EQ(pipeline.stats().staged, 3u);
+  EXPECT_EQ(pipeline.stats().inflight_bytes, 0u);
+}
+
+TEST(PrefetchPipeline, PickedPlanLoadsAreAllInFlightAtOnce) {
+  // A picked plan's loads run in one round-trip wave, not a few lanes'
+  // worth at a time: with a 2 s round trip, every one of 48 staged loads
+  // must have started (claimed as a cold load) before the first lands.
+  constexpr size_t kParts = 48;
+  auto bundle = workload::MakeKdd(20 * kParts, /*seed=*/79);
+  storage::PartitionedTable pt(bundle.table, kParts);
+  const ScratchDir dir("ps3_io_");
+  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
+  io::PartitionStore::Options opts;
+  opts.simulated_load_delay_us = 2000000;
+  auto store = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(store.ok());
+
+  runtime::QueryScheduler scheduler;
+  io::PrefetchPipeline pipeline(store->get(), &scheduler);
+  std::vector<size_t> parts(kParts);
+  for (size_t p = 0; p < kParts; ++p) parts[p] = p;
+  pipeline.Stage(parts, storage::ColumnSet::All(), QueryClass::kInteractive);
+  ASSERT_EQ(pipeline.stats().staged, kParts);
+
+  io::StoreStats seen;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  for (;;) {
+    seen = (*store)->store_stats();
+    if (seen.cold_loads == kParts || seen.segments_loaded > 0 ||
+        std::chrono::steady_clock::now() > give_up) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(seen.cold_loads, kParts);
+  EXPECT_EQ(seen.segments_loaded, 0u);
+  pipeline.Drain();
+  EXPECT_EQ(pipeline.stats().load_errors, 0u);
   EXPECT_EQ(pipeline.stats().inflight_bytes, 0u);
 }
 
