@@ -2,13 +2,14 @@
 // cancellation, and deadlines.
 //
 // These types live in common/ (not runtime/) because they cross every
-// layer: the scheduler stamps them at admission, the worker pool checks
-// them at chunk boundaries, and the io layer checks them inside cold-load
-// single-flight waits — none of which may depend on the layers above.
+// layer: the scheduler stamps them at admission, the evaluator checks
+// them before every partition acquire, and the io layer checks them
+// inside cold-load single-flight waits — none of which may depend on the
+// layers above.
 //
 // Cancellation is *cooperative*: a CancelToken never interrupts a running
-// kernel. Executors poll Check() at natural boundaries (chunk starts,
-// partition acquires, cold-load waits) and abort by throwing QueryAborted,
+// kernel. Executors poll Check() at natural boundaries (partition
+// acquires, cold-load waits) and abort by throwing QueryAborted,
 // which the per-job failure isolation in runtime::WorkerPool turns into
 // "this query's future resolves with the Status; co-resident queries are
 // untouched". Classes and deadlines affect only *when* chunks run, never
@@ -40,8 +41,8 @@ const char* QueryClassName(QueryClass c);
 
 /// Shared cancellation + deadline flag for one query (or one group of
 /// queries cancelled together). Thread-safe; cheap enough to poll per
-/// chunk: Cancel()/cancelled() are single atomic ops, and Check() reads
-/// the clock only when a deadline is armed.
+/// partition: Cancel()/cancelled() are single atomic ops, and Check()
+/// reads the clock only when a deadline is armed.
 class CancelToken {
  public:
   CancelToken() = default;
@@ -114,7 +115,7 @@ class QueryFailed : public std::runtime_error {
 };
 
 /// Throws QueryAborted if `cancel` (nullable) has fired. The one-liner
-/// executors use at chunk/partition/acquire boundaries.
+/// executors use at partition and acquire boundaries.
 inline void ThrowIfAborted(const CancelToken* cancel) {
   if (cancel == nullptr) return;
   Status live = cancel->Check();

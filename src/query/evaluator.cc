@@ -84,12 +84,11 @@ runtime::WorkerPool& PoolOf(const ExecOptions& opts) {
 }
 
 /// Maps an ExecOptions onto the pool's per-job scheduling options, so
-/// every evaluation pass carries the query's class and cancel token.
+/// every evaluation pass carries the query's lane cap and class.
 runtime::WorkerPool::TaskOptions TaskOf(const ExecOptions& opts) {
   runtime::WorkerPool::TaskOptions topts;
   topts.max_lanes = opts.num_threads;
   topts.query_class = opts.query_class;
-  topts.cancel = opts.cancel;
   return topts;
 }
 
@@ -376,9 +375,9 @@ std::vector<PartitionAnswer> EvaluateAllPartitions(
       units.size(),
       [&](size_t u) {
         const Unit unit = units[u];
-        // Units are heavier than typical chunk items (a whole partition
-        // each), so poll the token per unit too — before the acquire, so
-        // a dead query stops issuing cold loads immediately.
+        // The scan's cancel poll: per unit, before the acquire, so a dead
+        // query stops issuing cold loads immediately. The throw fails only
+        // this pool job.
         ThrowIfAborted(opts.cancel);
         if (!entered[unit.shard].exchange(true, std::memory_order_relaxed)) {
           source.WillScanShard(unit.shard, scan_columns, ctl);

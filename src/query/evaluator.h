@@ -136,11 +136,11 @@ struct ExecOptions {
   /// sources keep their prefetch outside the batch read-ahead share.
   /// Affects only when chunks run — answers are class-blind.
   QueryClass query_class = QueryClass::kBatch;
-  /// Cooperative cancel/deadline token, polled at chunk boundaries, at
-  /// every partition acquire, and inside cold-load single-flight waits;
-  /// nullable, borrowed for the evaluation's duration. When it fires the
-  /// evaluation throws QueryAborted (pins already taken are released);
-  /// concurrent evaluations on the pool are unaffected.
+  /// Cooperative cancel/deadline token, polled before every partition
+  /// acquire and inside cold-load single-flight waits; nullable, borrowed
+  /// for the evaluation's duration. When it fires the evaluation throws
+  /// QueryAborted (pins already taken are released); concurrent
+  /// evaluations on the pool are unaffected.
   const CancelToken* cancel = nullptr;
 };
 

@@ -5,10 +5,10 @@
 // serializing whole-query scans, each submission becomes a task on a small
 // set of resident driver threads. A driver executes the query's partition
 // fan-out as its own WorkerPool job, so the chunks of several in-flight
-// queries interleave on the shared lanes (round-robin, capped per query by
-// ExecOptions::num_threads) — throughput comes from admitting concurrent
-// work onto shared execution resources rather than from one query owning
-// every lane.
+// queries interleave on the shared lanes (least-served job first, capped
+// per query by ExecOptions::num_threads) — throughput comes from admitting
+// concurrent work onto shared execution resources rather than from one
+// query owning every lane.
 //
 // One serving plan: the paper answers every query by reading a set of
 // partitions and combining their partial answers with weights, and so
@@ -36,7 +36,7 @@
 // (index-addressed slots, ascending row order within a partition, combine
 // in ascending partition order), so the answer a future resolves to is
 // bit-identical to running the same query serially — for any driver
-// count, lane count, steal schedule, query class mix, or set of
+// count, lane count, chunk claim order, query class mix, or set of
 // concurrently admitted queries (class and deadline affect when chunks
 // run, never merge order or results). Failure is per query: a task that
 // throws fails only its own future; sibling queries and the resident
@@ -129,7 +129,7 @@ struct SubmitOptions {
   /// against it. 0 (default) = none; <= 0 is already expired (the query
   /// fast-fails with DeadlineExceeded before touching a partition). On
   /// expiry mid-flight the future resolves with QueryAborted carrying
-  /// Status::DeadlineExceeded at the next chunk boundary.
+  /// Status::DeadlineExceeded at the next partition acquire.
   std::chrono::microseconds deadline{0};
   /// External cancellation handle: call Cancel() from any thread and the
   /// query aborts cooperatively (future resolves with QueryAborted

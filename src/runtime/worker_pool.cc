@@ -6,9 +6,9 @@ namespace ps3::runtime {
 
 namespace {
 
-/// Chunks per participating lane: enough slack for stealing to balance
-/// skew, few enough that per-chunk locking (and the per-chunk round-robin
-/// job re-pick) stays negligible.
+/// Chunks per participating lane: enough slack for the shared cursor to
+/// balance skew, few enough that the per-chunk job re-pick stays
+/// negligible.
 constexpr size_t kChunksPerLane = 4;
 
 /// Hard ceiling on resident lanes. Growth follows the peak requested lane
@@ -24,27 +24,8 @@ constexpr size_t kMaxLanes = 256;
 /// (never starved, merely slowed) while interactive work is in flight.
 constexpr size_t kInteractivePickWeight = 4;
 
-/// Cancel-poll stride for the inline (single-lane) ParallelFor path,
-/// standing in for the chunk boundaries the pooled path polls at. Items
-/// are partition- or chunk-sized, so even a stride of 64 keeps poll cost
-/// invisible while bounding abort latency to a few items.
-constexpr size_t kInlineCancelStride = 64;
-
 thread_local WorkerPool* t_pool = nullptr;
 thread_local size_t t_lane = 0;
-
-/// Single-lane execution with the same cooperative-cancel contract as the
-/// pooled path: polls every kInlineCancelStride items and throws
-/// QueryAborted when the token fires.
-void RunInline(size_t n, const std::function<void(size_t)>& fn,
-               const CancelToken* cancel) {
-  for (size_t i = 0; i < n; ++i) {
-    if (cancel != nullptr && i % kInlineCancelStride == 0) {
-      ThrowIfAborted(cancel);
-    }
-    fn(i);
-  }
-}
 
 }  // namespace
 
@@ -71,7 +52,7 @@ WorkerPool::WorkerPool(int num_threads) {
 
 WorkerPool::~WorkerPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(jobs_mu_);
     shutdown_ = true;
   }
   wake_cv_.notify_all();
@@ -101,45 +82,36 @@ void WorkerPool::WorkerMain(size_t lane) {
   t_pool = this;
   t_lane = lane;
   for (;;) {
-    uint64_t epoch;
+    std::shared_ptr<Job> job;
     {
-      std::lock_guard<std::mutex> lock(wake_mu_);
+      // Servable work appears only under jobs_mu_ (a registration) or is
+      // announced under it (a lane freed on a job with unclaimed chunks),
+      // so a scan that finds nothing cannot miss the wake-up.
+      std::unique_lock<std::mutex> lock(jobs_mu_);
+      wake_cv_.wait(lock,
+                    [&] { return shutdown_ || (job = PickJob()) != nullptr; });
       if (shutdown_) return;
-      epoch = work_epoch_;
     }
-    std::shared_ptr<Job> job = PickJob();
-    if (job) {
-      ServeOneChunk(job.get());
-      continue;
-    }
-    // Nothing servable at `epoch`: sleep until new work may exist. A job
-    // submitted (or a lane-cap slot freed) between the scan and this wait
-    // bumped the epoch, so the predicate catches it.
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    wake_cv_.wait(lock,
-                  [&] { return shutdown_ || work_epoch_ != epoch; });
-    if (shutdown_) return;
+    ServeOneChunk(job.get());
   }
 }
 
 std::shared_ptr<WorkerPool::Job> WorkerPool::PickJob() {
-  std::lock_guard<std::mutex> lock(jobs_mu_);
-  // Best servable candidate per class, least chunks served first (ties
-  // go to registry order, which the service counters immediately break).
-  // Balancing on service executed — not a shared cursor — is what makes
-  // picks fair under churn: a cursor reset by job retirement parked on
-  // the registry head and favored whichever stream re-submitted into
-  // that slot, the 2-stream skew in the PR 5 bench capture.
+  // Best servable candidate per class, fewest chunks claimed first (ties
+  // go to registry order, which the claim counters immediately break).
+  // Balancing on service, not registry position, keeps picks fair when
+  // jobs retire and re-submit.
   std::shared_ptr<Job>* best[2] = {nullptr, nullptr};
   for (auto& job : jobs_) {
-    if (job->queued.load(std::memory_order_relaxed) == 0) continue;
+    const size_t claimed = job->next_chunk.load(std::memory_order_relaxed);
+    if (claimed >= job->n_chunks) continue;
     if (job->active_lanes.load(std::memory_order_relaxed) >= job->cap) {
       continue;  // saturated: every cap slot is already serving
     }
     const size_t c = job->query_class == QueryClass::kInteractive ? 1 : 0;
     if (best[c] == nullptr ||
-        job->served.load(std::memory_order_relaxed) <
-            (*best[c])->served.load(std::memory_order_relaxed)) {
+        claimed <
+            (*best[c])->next_chunk.load(std::memory_order_relaxed)) {
       best[c] = &job;
     }
   }
@@ -173,55 +145,11 @@ std::shared_ptr<WorkerPool::Job> WorkerPool::PickJob() {
   return *best[chosen];
 }
 
-bool WorkerPool::PopOrSteal(Job* job, size_t slot, Chunk* out) {
-  const size_t slots = job->queues.size();
-  {
-    SlotQueue& own = job->queues[slot];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.chunks.empty()) {
-      *out = own.chunks.front();
-      own.chunks.pop_front();
-      job->queued.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  for (size_t d = 1; d < slots; ++d) {
-    SlotQueue& victim = job->queues[(slot + d) % slots];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.chunks.empty()) {
-      *out = victim.chunks.back();
-      victim.chunks.pop_back();
-      job->queued.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void WorkerPool::ExecuteChunk(Job* job, const Chunk& c) {
-  job->served.fetch_add(1, std::memory_order_relaxed);
-  // Cooperative cancel/deadline poll at the chunk boundary: a fired
-  // token fails the job exactly like a thrown item — first recorder
-  // wins, remaining chunks drain without running, the caller rethrows —
-  // so cancellation reuses the per-job isolation and cannot poison
-  // co-resident jobs.
-  if (job->cancel != nullptr &&
-      !job->failed.load(std::memory_order_relaxed)) {
-    Status live = job->cancel->Check();
-    if (!live.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(job->error_mu);
-        if (!job->error) {
-          job->error =
-              std::make_exception_ptr(QueryAborted(std::move(live)));
-        }
-      }
-      job->failed.store(true, std::memory_order_relaxed);
-    }
-  }
+void WorkerPool::ExecuteChunk(Job* job, size_t c) {
   if (!job->failed.load(std::memory_order_relaxed)) {
+    const size_t end = std::min(job->n, (c + 1) * job->chunk_len);
     try {
-      for (size_t i = c.begin; i < c.end; ++i) {
+      for (size_t i = c * job->chunk_len; i < end; ++i) {
         // Per-item early stop: after a failure elsewhere in this job,
         // don't burn the rest of an in-flight chunk on items whose
         // results will be discarded. Failure is job-local — chunks of
@@ -248,118 +176,74 @@ void WorkerPool::ExecuteChunk(Job* job, const Chunk& c) {
 }
 
 void WorkerPool::ServeOneChunk(Job* job) {
-  Chunk c;
-  const size_t slot =
-      job->next_slot.fetch_add(1, std::memory_order_relaxed) %
-      job->queues.size();
-  if (PopOrSteal(job, slot, &c)) ExecuteChunk(job, c);
+  const size_t c = job->next_chunk.fetch_add(1, std::memory_order_relaxed);
+  if (c < job->n_chunks) ExecuteChunk(job, c);
   job->active_lanes.fetch_sub(1, std::memory_order_release);
-  // Releasing a cap slot on a job that still has queued chunks makes work
-  // servable for a sleeping worker.
-  if (job->queued.load(std::memory_order_relaxed) > 0) {
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      ++work_epoch_;
-    }
+  // Releasing a cap slot on a job that still has unclaimed chunks makes
+  // work servable for a sleeping worker.
+  if (job->next_chunk.load(std::memory_order_relaxed) < job->n_chunks) {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
     wake_cv_.notify_one();
   }
 }
 
-void WorkerPool::DrainAsCaller(Job* job) {
-  Chunk c;
-  while (PopOrSteal(job, /*slot=*/0, &c)) ExecuteChunk(job, c);
-}
-
 void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                              const TaskOptions& topts) {
-  if (n == 0) return;
-  // A token that fired before any work ran aborts up front — an
-  // expired-in-queue query never touches a partition.
-  ThrowIfAborted(topts.cancel);
-  const size_t target =
-      std::min(topts.max_lanes <= 0 ? default_lanes_
-                                    : static_cast<size_t>(topts.max_lanes),
-               kMaxLanes);
-  const size_t want = std::min(target, n);
+  size_t lanes =
+      std::min({n, kMaxLanes,
+                topts.max_lanes <= 0 ? default_lanes_
+                                     : static_cast<size_t>(topts.max_lanes)});
   // Nested calls (a task spawning parallel work on its own pool) run
   // inline: the outer job's lanes are already saturated.
-  if (want <= 1 || t_pool != nullptr) {
-    RunInline(n, fn, topts.cancel);
-    return;
-  }
-
-  {
+  if (t_pool != nullptr) lanes = 1;
+  if (lanes > 1) {
     std::lock_guard<std::mutex> grow_lock(grow_mu_);
-    EnsureLanes(want);
+    EnsureLanes(lanes);
+    lanes = std::min(lanes, lanes_.load(std::memory_order_relaxed));
   }
-  const size_t lanes =
-      std::min(want, lanes_.load(std::memory_order_relaxed));
   if (lanes <= 1) {
-    RunInline(n, fn, topts.cancel);
+    for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
   auto job = std::make_shared<Job>();
   job->fn = &fn;
+  job->n = n;
+  job->chunk_len = std::max<size_t>(1, n / (lanes * kChunksPerLane));
+  job->n_chunks = (n + job->chunk_len - 1) / job->chunk_len;
   job->cap = lanes;
   job->query_class = topts.query_class;
-  job->cancel = topts.cancel;
-  // The submitting caller occupies one lane slot for its whole drain, so
-  // the job makes progress even if every worker is serving other jobs.
+  job->remaining.store(job->n_chunks, std::memory_order_relaxed);
+  // The submitting caller occupies one lane slot for its whole claim loop,
+  // so the job makes progress even if every worker is serving other jobs.
   job->active_lanes.store(1, std::memory_order_relaxed);
-
-  // Carve [0, n) into contiguous chunks and deal each slot a contiguous
-  // run of them (owners pop front-to-back, so every lane walks ascending
-  // indices; thieves take from the far end of a victim's run). The job is
-  // not yet published, so no queue locks are needed — and a mid-dealing
-  // throw (bad_alloc) just drops the unpublished job on the floor.
-  const size_t chunk_len =
-      std::max<size_t>(1, n / (lanes * kChunksPerLane));
-  const size_t n_chunks = (n + chunk_len - 1) / chunk_len;
-  const size_t per_slot = n_chunks / lanes;
-  const size_t extra = n_chunks % lanes;
-  size_t next_chunk = 0;
-  for (size_t s = 0; s < lanes; ++s) {
-    SlotQueue& q = job->queues.emplace_back();
-    const size_t take = per_slot + (s < extra ? 1 : 0);
-    for (size_t k = 0; k < take; ++k, ++next_chunk) {
-      const size_t begin = next_chunk * chunk_len;
-      q.chunks.push_back(Chunk{begin, std::min(begin + chunk_len, n)});
-    }
-  }
-  job->queued.store(n_chunks, std::memory_order_relaxed);
-  job->remaining.store(n_chunks, std::memory_order_relaxed);
-
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     jobs_.push_back(job);
   }
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    ++work_epoch_;
-  }
   wake_cv_.notify_all();
 
-  // The caller serves its own job (slot 0) until the queues are dry.
-  WorkerPool* prev_pool = t_pool;
-  size_t prev_lane = t_lane;
+  // The caller claims from its own job's cursor until it runs out.
   t_pool = this;
   t_lane = kCallerLane;
-  DrainAsCaller(job.get());
-  t_pool = prev_pool;
-  t_lane = prev_lane;
+  for (;;) {
+    const size_t c = job->next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= job->n_chunks) break;
+    ExecuteChunk(job.get(), c);
+  }
+  t_pool = nullptr;
   job->active_lanes.fetch_sub(1, std::memory_order_release);
 
-  // Wait for in-flight steals: a chunk popped by a worker is retired only
-  // after it runs, so done implies every chunk fully executed (or drained
-  // after this job's failure).
+  // Wait for chunks still running on workers: a claimed chunk is retired
+  // only after it runs, so done implies every chunk fully executed (or
+  // drained after this job's failure).
   {
     std::unique_lock<std::mutex> lock(job->done_mu);
     job->done_cv.wait(lock, [&] { return job->done; });
   }
 
-  // Unregister. Workers that still hold a reference see empty queues and
-  // drop it; the shared_ptr keeps the Job alive under them.
+  // Unregister. Workers that still hold a reference find the cursor
+  // exhausted and drop it; the shared_ptr keeps the Job alive under them.
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     for (size_t i = 0; i < jobs_.size(); ++i) {

@@ -1,22 +1,21 @@
-// Persistent work-stealing pool for per-partition parallelism (scans,
-// stats builds, labeling, featurization) shared by concurrent queries.
+// Persistent pool for per-partition parallelism (scans, stats builds,
+// labeling, featurization) shared by concurrent queries.
 //
-// Unlike the fork-per-call pool it replaces, workers are resident: threads
-// are spawned once (growing lazily to the peak requested lane count) and
-// sleep between jobs. Each ParallelFor call materializes a *job*: its index
-// range is carved into contiguous chunks dealt across per-slot deques owned
-// by that job. A lane serving a job pops from the front of a slot's deque
-// and steals from the back of another slot's when it runs dry, so skewed
-// per-item costs balance without a single contended counter.
+// Workers are resident: threads are spawned once (growing lazily to the
+// peak requested lane count) and sleep between jobs. Each ParallelFor call
+// materializes a *job*: its index range is carved into contiguous chunks,
+// and every lane serving the job claims the next chunk from the job's one
+// atomic cursor, so chunks are claimed in ascending order and a lane that
+// finishes early simply claims more.
 //
 // Multiple jobs are in flight at once. Concurrent top-level ParallelFor
 // callers are admitted side by side instead of serialized: resident workers
 // pick one chunk per pick from the active-job registry, and each job caps
 // how many lanes may serve it simultaneously (`max_lanes`, the
 // ExecOptions::num_threads convention), so one heavy query cannot
-// monopolize the pool while others starve. The submitting thread always
-// serves its own job until that job's queues are dry, so a job completes
-// even if every worker is busy elsewhere.
+// monopolize the pool while others starve. The submitting thread claims
+// from its own job's cursor until it runs out, so a job completes even if
+// every worker is busy elsewhere.
 //
 // Picks are class-aware and service-balanced. Each job carries a
 // QueryClass: when both classes have servable work, interactive jobs win
@@ -24,27 +23,21 @@
 // weighted-deficit counter guarantees the remaining pick goes to batch,
 // so batch always progresses — preemption at chunk granularity, never
 // starvation). Within a class the least-served job (fewest chunks
-// executed) is picked, which keeps service even across same-class jobs
-// regardless of registration order or churn — the earlier shared
-// round-robin cursor was reset on every job retirement and parked on the
-// registry head, systematically favoring whichever job sat there under
-// submit/finish churn, and it advanced past jobs whose reservation found
-// a momentarily-empty deque, double-penalizing them a full scan cycle.
+// claimed) is picked, which keeps service even across same-class jobs
+// regardless of registration order or churn.
 //
-// Jobs may also carry a CancelToken. The token is polled at every chunk
-// boundary (and per item once a job has failed): when it fires, the job
-// is failed with QueryAborted carrying the token's Status, its remaining
-// chunks drain without running, and the caller rethrows — exactly the
-// per-job failure isolation path, so cancellation never poisons
-// co-resident jobs.
+// The pool polls no cancel token. A task aborts by throwing — the query
+// evaluator polls its token before every partition acquire — and the
+// throw takes the per-job failure path below, so cancellation never
+// poisons co-resident jobs.
 //
 // Determinism: results are written to caller-indexed slots by the supplied
 // function, so every reduction stays ordered and bit-identical to serial
-// execution regardless of lane count, steal schedule, or what other jobs
-// run concurrently. Failure is per job: an exception thrown by `fn` is
-// recorded on that job alone, its remaining chunks drain without running,
-// and the exception is rethrown on that job's caller — sibling jobs and
-// the resident lanes are unaffected.
+// execution regardless of lane count, which lane claims which chunk, or
+// what other jobs run concurrently. Failure is per job: an exception
+// thrown by `fn` is recorded on that job alone, its remaining chunks drain
+// without running, and the exception is rethrown on that job's caller —
+// sibling jobs and the resident lanes are unaffected.
 //
 // The pool also owns per-lane scratch storage (LocalScratch<T>). Because
 // workers are resident, scratch obtained inside a task survives across
@@ -57,8 +50,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -81,11 +72,6 @@ class WorkerPool {
     /// granularity (weighted, batch still progresses). Affects only when
     /// chunks run, never results.
     QueryClass query_class = QueryClass::kBatch;
-    /// Cooperative cancel/deadline token, polled at chunk boundaries;
-    /// nullable. Must outlive the ParallelFor call. When it fires the
-    /// call throws QueryAborted on the caller; sibling jobs are
-    /// unaffected.
-    const CancelToken* cancel = nullptr;
   };
   /// `num_threads` <= 0 selects the hardware concurrency. Worker threads
   /// are spawned on construction and stay resident until destruction.
@@ -111,8 +97,8 @@ class WorkerPool {
   /// caller; the job's remaining chunks are skipped best-effort and
   /// concurrent jobs are unaffected. Concurrent top-level callers run side
   /// by side: each call is an independent job whose chunks interleave with
-  /// other jobs' on the shared lanes (round-robin), and whose results and
-  /// failure state are isolated to that call.
+  /// other jobs' on the shared lanes, and whose results and failure state
+  /// are isolated to that call.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                    int max_lanes = 0) {
     TaskOptions topts;
@@ -120,9 +106,8 @@ class WorkerPool {
     ParallelFor(n, fn, topts);
   }
 
-  /// Same, with full scheduling options (class-weighted picks,
-  /// cooperative cancellation). A fired token aborts the job at the next
-  /// chunk boundary and rethrows as QueryAborted on the caller.
+  /// Same, with full scheduling options (lane cap and class-weighted
+  /// picks).
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                    const TaskOptions& topts);
 
@@ -158,39 +143,23 @@ class WorkerPool {
   }
 
  private:
-  struct Chunk {
-    size_t begin = 0;
-    size_t end = 0;
-  };
-
-  /// One slot's chunk deque within a job. The serving lane pops from the
-  /// front of its slot; thieves pop from the back of another slot's, so
-  /// contiguous index runs stay with one lane.
-  struct SlotQueue {
-    std::mutex mu;
-    std::deque<Chunk> chunks;
-  };
-
   /// One ParallelFor call. Owned via shared_ptr: the registry and every
   /// lane currently serving the job hold references, so a worker finishing
   /// its last chunk after the caller returned never touches freed memory.
   struct Job {
     const std::function<void(size_t)>* fn = nullptr;
-    std::deque<SlotQueue> queues;  ///< fixed before publication
+    size_t n = 0;          ///< items
+    size_t chunk_len = 0;  ///< items per chunk; the last may be shorter
+    size_t n_chunks = 0;
     size_t cap = 0;  ///< max lanes serving concurrently (incl. caller)
     QueryClass query_class = QueryClass::kBatch;
-    /// Cooperative abort flag; polled at chunk boundaries. Borrowed from
-    /// the caller, valid for the job's lifetime (the caller blocks in
-    /// ParallelFor until every chunk retires).
-    const CancelToken* cancel = nullptr;
 
-    std::atomic<size_t> queued{0};     ///< chunks still sitting in queues
+    /// Next chunk to claim (fetch_add, so claims past n_chunks find
+    /// nothing). Below n_chunks it counts the chunks claimed so far — the
+    /// service counter least-served-first picking balances on.
+    std::atomic<size_t> next_chunk{0};
     std::atomic<size_t> remaining{0};  ///< chunks not yet executed/drained
     std::atomic<size_t> active_lanes{0};
-    std::atomic<size_t> next_slot{0};  ///< slot handed to a joining worker
-    /// Chunks executed so far — the service counter least-served-first
-    /// picking balances on.
-    std::atomic<uint64_t> served{0};
 
     std::atomic<bool> failed{false};
     std::mutex error_mu;
@@ -237,21 +206,17 @@ class WorkerPool {
   /// Grows to `lanes` total lanes. Caller must hold grow_mu_.
   void EnsureLanes(size_t lanes);
   void WorkerMain(size_t lane);
-  /// Picks a job with queued chunks and spare lane capacity — class
+  /// Picks a job with unclaimed chunks and spare lane capacity — class
   /// weighting between interactive and batch, least-served-first within a
   /// class — and reserves a lane on it. Returns nullptr when nothing is
-  /// servable.
+  /// servable. Caller must hold jobs_mu_.
   std::shared_ptr<Job> PickJob();
-  /// Pops (or steals) and executes at most one chunk, then releases the
-  /// reserved lane.
+  /// Claims and executes at most one chunk, then releases the reserved
+  /// lane.
   void ServeOneChunk(Job* job);
-  /// Drains `job` as slot `slot` until its queues are dry (submitting
-  /// caller's loop; the caller's lane reservation is held throughout).
-  void DrainAsCaller(Job* job);
-  bool PopOrSteal(Job* job, size_t slot, Chunk* out);
-  /// Runs one chunk (or discards it after a failure) and retires it from
+  /// Runs chunk `c` (or discards it after a failure) and retires it from
   /// the job's accounting, signalling completion on the last chunk.
-  void ExecuteChunk(Job* job, const Chunk& c);
+  void ExecuteChunk(Job* job, size_t c);
 
   size_t default_lanes_;
   std::atomic<size_t> lanes_{1};  // lane 0 = reserved (callers are private)
@@ -268,10 +233,11 @@ class WorkerPool {
   /// goes to batch. Guarded by jobs_mu_.
   size_t batch_deficit_ = 0;
 
-  std::mutex wake_mu_;
+  /// Idle workers wait here under jobs_mu_; notified when a job is
+  /// registered, when a lane frees on a job with unclaimed chunks, and on
+  /// shutdown.
   std::condition_variable wake_cv_;
-  uint64_t work_epoch_ = 0;  ///< bumped when servable work may exist
-  bool shutdown_ = false;    ///< guarded by wake_mu_
+  bool shutdown_ = false;  ///< guarded by jobs_mu_
 };
 
 }  // namespace ps3::runtime

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -10,6 +11,7 @@
 #include "query/metrics.h"
 #include "query/query.h"
 #include "query/selection_bitmap.h"
+#include "runtime/worker_pool.h"
 #include "storage/partition_source.h"
 #include "storage/table.h"
 
@@ -429,6 +431,61 @@ TEST(Evaluator, GroupByNumericColumn) {
   q.group_by = {0};  // x: 100 distinct values
   auto exact = ExactAnswer(q, EvaluateAllPartitions(q, flat_src));
   EXPECT_EQ(exact.size(), 100u);
+}
+
+/// Resident source whose Acquire counts its calls and cancels `token` on
+/// the 4th, so a scan is cancelled at a known point mid-flight.
+class CancelOnFourthAcquire : public storage::ResidentShardedSource {
+ public:
+  CancelOnFourthAcquire(const PartitionedTable& table, CancelToken* token)
+      : ResidentShardedSource(table), token_(token) {}
+
+  Result<storage::PinnedPartition> Acquire(
+      size_t global_index, const storage::ColumnSet& columns,
+      const storage::ScanControl& control) const override {
+    if (acquires_.fetch_add(1) + 1 == 4) token_->Cancel();
+    return ResidentShardedSource::Acquire(global_index, columns, control);
+  }
+  using ResidentShardedSource::Acquire;
+
+  size_t acquires() const { return acquires_.load(); }
+
+ private:
+  CancelToken* token_;
+  mutable std::atomic<size_t> acquires_{0};
+};
+
+TEST(Evaluator, CancelStopsTheScanBeforeTheNextAcquire) {
+  // The poll before each partition acquire is a scan's one cancel poll,
+  // and the resident source ignores the token: once the 4th acquire
+  // cancels it, no lane may start another partition. One lane stops after
+  // exactly 4 acquires; with 4 lanes, up to 3 others may already be past
+  // their poll.
+  auto t = MakeTable();
+  PartitionedTable pt(t, 16);
+  Query q;
+  q.aggregates = {Aggregate::Count()};
+  runtime::WorkerPool pool(4);
+  for (const int threads : {1, 4}) {
+    CancelToken token;
+    const CancelOnFourthAcquire src(pt, &token);
+    ExecOptions opts;
+    opts.num_threads = threads;
+    opts.pool = &pool;
+    opts.cancel = &token;
+    try {
+      EvaluateAllPartitions(q, src, opts);
+      ADD_FAILURE() << "expected QueryAborted at " << threads << " lanes";
+    } catch (const QueryAborted& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kCancelled);
+    }
+    if (threads == 1) {
+      EXPECT_EQ(src.acquires(), 4u);
+    } else {
+      EXPECT_GE(src.acquires(), 4u);
+      EXPECT_LE(src.acquires(), 4u + 3u);
+    }
+  }
 }
 
 TEST(Metrics, PerfectEstimateIsZeroError) {

@@ -1,9 +1,10 @@
-// Tests for the resident work-stealing WorkerPool: ParallelFor coverage
-// and determinism, nested-call inlining, exception propagation, lazy lane
-// growth, per-lane scratch that survives across ParallelFor calls instead
-// of being torn down with forked workers — and the multi-job model:
-// concurrent top-level callers admitted side by side with per-job lane
-// caps and per-job failure isolation.
+// Tests for the resident WorkerPool: ParallelFor coverage and
+// determinism, nested-call inlining, exception propagation, lazy lane
+// growth, the caller claiming its own job's chunks in ascending order,
+// per-lane scratch that survives across ParallelFor calls instead of being
+// torn down with forked workers — and the multi-job model: concurrent
+// top-level callers admitted side by side with per-job lane caps and
+// per-job failure isolation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,6 +74,72 @@ TEST(WorkerPool, ExceptionRethrownOnCaller) {
   std::atomic<size_t> done{0};
   pool.ParallelFor(50, [&](size_t) { done.fetch_add(1); });
   EXPECT_EQ(done.load(), 50u);
+}
+
+TEST(WorkerPool, CallerRunsItsJobAloneInAscendingOrder) {
+  // Every lane claims a job's chunks from one cursor in ascending order.
+  // With the pool's one worker parked inside a sibling job, the caller is
+  // the only lane serving its job, so it must run every item in index
+  // order — a caller that drained its own share and then took another
+  // lane's chunks from the far end would jump ahead.
+  runtime::WorkerPool pool(2);  // the callers' lane plus one worker
+  std::mutex mu;
+  std::condition_variable cv;
+  std::thread::id submitter_a;
+  bool worker_parked = false;
+  bool release_worker = false;
+
+  // Job A has two one-item chunks: its submitter claims one and waits in
+  // it until the worker has claimed the other and parked there.
+  std::thread job_a([&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      submitter_a = std::this_thread::get_id();
+    }
+    pool.ParallelFor(2, [&](size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (std::this_thread::get_id() == submitter_a) {
+        cv.wait(lock, [&] { return worker_parked; });
+        return;
+      }
+      worker_parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release_worker; });
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return worker_parked; }))
+        << "worker never parked";
+  }
+
+  constexpr size_t kN = 64;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  bool off_caller = false;
+  pool.ParallelFor(
+      kN,
+      [&](size_t i) {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(i);
+        if (std::this_thread::get_id() != caller) off_caller = true;
+      },
+      /*max_lanes=*/2);
+  {
+    // Setting worker_parked too lets job A's submitter finish even if the
+    // worker never parked, so a failure here ends the test, not hangs it.
+    std::lock_guard<std::mutex> lock(mu);
+    worker_parked = true;
+    release_worker = true;
+  }
+  cv.notify_all();
+  job_a.join();
+
+  EXPECT_FALSE(off_caller);
+  std::vector<size_t> expected(kN);
+  std::iota(expected.begin(), expected.end(), size_t{0});
+  EXPECT_EQ(order, expected);
 }
 
 TEST(WorkerPool, GrowsToRequestedLanes) {
@@ -242,21 +309,22 @@ TEST(WorkerPoolConcurrent, ConcurrentFailuresDoNotCrossPollinate) {
 }
 
 // ---------------------------------------------------------------------
-// Query classes and cooperative cancellation: a fired token aborts only
-// its own job with a structured Status; class weighting affects timing
-// only, never coverage.
+// Query classes and cooperative cancellation: the pool polls no token —
+// tasks poll their own, as the evaluator does before every partition
+// acquire — and an abort thrown mid-job stops only that job, with its
+// structured Status, on the pooled, inline, deadline and cross-thread
+// paths. Class weighting affects timing only, never coverage.
 
 TEST(WorkerPoolCancel, PreCancelledTokenAbortsWithCancelledStatus) {
   runtime::WorkerPool pool(4);
   CancelToken token;
   token.Cancel();
-  runtime::WorkerPool::TaskOptions topts;
-  topts.cancel = &token;
   std::atomic<size_t> ran{0};
   try {
-    pool.ParallelFor(
-        4096, [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); },
-        topts);
+    pool.ParallelFor(4096, [&](size_t) {
+      ThrowIfAborted(&token);
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
     FAIL() << "expected QueryAborted";
   } catch (const QueryAborted& e) {
     EXPECT_EQ(e.status().code(), StatusCode::kCancelled);
@@ -271,15 +339,15 @@ TEST(WorkerPoolCancel, PreCancelledTokenAbortsWithCancelledStatus) {
 }
 
 TEST(WorkerPoolCancel, InlinePathPollsToken) {
-  // max_lanes=1 runs fully inline on the caller; the token must still be
-  // polled (every kInlineCancelStride items), not only on pool lanes.
+  // max_lanes=1 runs fully inline on the caller; an item's poll must
+  // still abort the call there, not only on pool lanes.
   runtime::WorkerPool pool(2);
   CancelToken token;
   token.Cancel();
-  runtime::WorkerPool::TaskOptions topts;
-  topts.max_lanes = 1;
-  topts.cancel = &token;
-  EXPECT_THROW(pool.ParallelFor(512, [](size_t) {}, topts), QueryAborted);
+  EXPECT_THROW(pool.ParallelFor(
+                   512, [&](size_t) { ThrowIfAborted(&token); },
+                   /*max_lanes=*/1),
+               QueryAborted);
 }
 
 TEST(WorkerPoolCancel, DeadlineExpiryAbortsMidFlight) {
@@ -287,17 +355,13 @@ TEST(WorkerPoolCancel, DeadlineExpiryAbortsMidFlight) {
   CancelToken token;
   token.SetDeadline(std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(5));
-  runtime::WorkerPool::TaskOptions topts;
-  topts.cancel = &token;
   try {
     // Each item sleeps, so the job takes far longer than the deadline;
-    // the chunk-boundary poll must fire DeadlineExceeded mid-flight.
-    pool.ParallelFor(
-        4096,
-        [](size_t) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        },
-        topts);
+    // an item's poll must fire DeadlineExceeded mid-flight.
+    pool.ParallelFor(4096, [&](size_t) {
+      ThrowIfAborted(&token);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
     FAIL() << "expected QueryAborted";
   } catch (const QueryAborted& e) {
     EXPECT_EQ(e.status().code(), StatusCode::kDeadlineExceeded);
@@ -325,28 +389,24 @@ TEST(WorkerPoolCancel, CancelMidFlightFromAnotherThread) {
     }
     token.Cancel();
   });
-  runtime::WorkerPool::TaskOptions topts;
-  topts.cancel = &token;
   // Past item 64 the victim holds its lanes until the token fires, so it
   // cannot finish all its items before the canceller gets scheduled. The
   // wait is bounded so a broken cancel path fails the test, not hangs it.
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   try {
-    pool.ParallelFor(
-        1 << 20,
-        [&](size_t) {
-          const size_t ran =
-              victim_ran.fetch_add(1, std::memory_order_relaxed) + 1;
-          while (ran >= 64 && !token.cancelled() &&
-                 std::chrono::steady_clock::now() < give_up) {
-            std::this_thread::yield();
-          }
-          volatile double x = 1.0;
-          for (int k = 0; k < 20; ++k) x = x * 1.0000001;
-          (void)x;
-        },
-        topts);
+    pool.ParallelFor(1 << 20, [&](size_t) {
+      ThrowIfAborted(&token);
+      const size_t ran =
+          victim_ran.fetch_add(1, std::memory_order_relaxed) + 1;
+      while (ran >= 64 && !token.cancelled() &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      volatile double x = 1.0;
+      for (int k = 0; k < 20; ++k) x = x * 1.0000001;
+      (void)x;
+    });
     // ADD_FAILURE, not FAIL: returning here would leave the canceller and
     // sibling threads joinable, and their destructors would terminate.
     ADD_FAILURE() << "expected QueryAborted";

@@ -272,7 +272,7 @@ TEST(MultiTenant, MixedClassConcurrentBitIdenticalToSerial) {
           submit.query_class = (i + t) % 2 == 0 ? QueryClass::kInteractive
                                                 : QueryClass::kBatch;
           // A generous deadline on some queries arms the whole deadline
-          // machinery (token creation, chunk-boundary polls) without ever
+          // machinery (token creation, per-acquire polls) without ever
           // firing.
           if (i % 3 == 0) submit.deadline = std::chrono::seconds(300);
           futures[t].push_back(
